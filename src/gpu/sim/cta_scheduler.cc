@@ -1,5 +1,7 @@
 #include "gpu/sim/cta_scheduler.hh"
 
+#include <algorithm>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 
@@ -18,18 +20,28 @@ schedKindName(SchedKind kind)
 }
 
 std::size_t
-RoundRobinScheduler::place(const std::vector<std::size_t> &resident,
-                           std::size_t tlp_limit)
+RoundRobinScheduler::placeCtas(std::vector<std::size_t> &resident,
+                               std::size_t tlp_limit, std::size_t max_ctas,
+                               std::vector<std::size_t> &chosen)
 {
     const std::size_t n = resident.size();
-    for (std::size_t step = 0; step < n; ++step) {
-        const std::size_t sm = (cursor + step) % n;
-        if (resident[sm] < tlp_limit) {
-            cursor = (sm + 1) % n;
-            return sm;
-        }
+    // SMs below the limit. Each CTA goes to the first of them at or
+    // after the cursor, which then moves one past it; with none open
+    // the cursor stays put.
+    std::size_t open = 0;
+    for (std::size_t c : resident)
+        open += c < tlp_limit;
+    std::size_t placed = 0;
+    for (; placed < max_ctas && open > 0; ++placed) {
+        std::size_t sm = cursor % n;
+        while (resident[sm] >= tlp_limit)
+            sm = sm + 1 == n ? 0 : sm + 1;
+        cursor = sm + 1 == n ? 0 : sm + 1;
+        if (++resident[sm] == tlp_limit)
+            --open;
+        chosen.push_back(sm);
     }
-    return noSm;
+    return placed;
 }
 
 PrioritySmScheduler::PrioritySmScheduler(std::size_t sms_allowed)
@@ -39,14 +51,21 @@ PrioritySmScheduler::PrioritySmScheduler(std::size_t sms_allowed)
 }
 
 std::size_t
-PrioritySmScheduler::place(const std::vector<std::size_t> &resident,
-                           std::size_t tlp_limit)
+PrioritySmScheduler::placeCtas(std::vector<std::size_t> &resident,
+                               std::size_t tlp_limit, std::size_t max_ctas,
+                               std::vector<std::size_t> &chosen)
 {
+    // Each CTA goes to the lowest SM below the limit; counts only
+    // grow during a placeCtas() call, so that SM never moves back.
     const std::size_t n = std::min(allowed, resident.size());
-    for (std::size_t sm = 0; sm < n; ++sm)
-        if (resident[sm] < tlp_limit)
-            return sm;
-    return noSm;
+    std::size_t placed = 0;
+    for (std::size_t sm = 0; sm < n && placed < max_ctas; ++sm) {
+        for (; resident[sm] < tlp_limit && placed < max_ctas; ++placed) {
+            ++resident[sm];
+            chosen.push_back(sm);
+        }
+    }
+    return placed;
 }
 
 std::unique_ptr<CtaScheduler>

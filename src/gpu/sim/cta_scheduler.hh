@@ -13,7 +13,6 @@
 #define PCNN_GPU_SIM_CTA_SCHEDULER_HH
 
 #include <cstddef>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,7 +26,7 @@ enum class SchedKind { RoundRobin, PrioritySM };
 std::string schedKindName(SchedKind kind);
 
 /**
- * Strategy interface: choose the SM for the next ready CTA.
+ * Strategy interface: choose the SM for each ready CTA.
  *
  * `resident` holds the current CTA count of every SM; an SM may
  * receive a CTA only while below `tlp_limit`. A scheduler may
@@ -41,18 +40,20 @@ class CtaScheduler
     /** Policy name for reports. */
     virtual std::string name() const = 0;
 
-    /** Sentinel: no SM can accept a CTA right now. */
-    static constexpr std::size_t noSm =
-        std::numeric_limits<std::size_t>::max();
-
     /**
-     * Pick the SM for the next CTA.
-     * @param resident per-SM resident CTA counts
+     * Place up to `max_ctas` CTAs, one at a time, until every
+     * eligible SM is full. Each CTA is counted into `resident` before
+     * the next is placed, and its SM is appended to `chosen`.
+     * @param resident per-SM resident CTA counts (updated)
      * @param tlp_limit max CTAs per SM
-     * @return SM index, or noSm when every eligible SM is full
+     * @param max_ctas CTAs waiting to be placed
+     * @param chosen receives the SM of every placed CTA, in order
+     * @return CTAs placed
      */
-    virtual std::size_t place(const std::vector<std::size_t> &resident,
-                              std::size_t tlp_limit) = 0;
+    virtual std::size_t placeCtas(std::vector<std::size_t> &resident,
+                                  std::size_t tlp_limit,
+                                  std::size_t max_ctas,
+                                  std::vector<std::size_t> &chosen) = 0;
 };
 
 /**
@@ -63,8 +64,9 @@ class RoundRobinScheduler : public CtaScheduler
 {
   public:
     std::string name() const override { return "RR"; }
-    std::size_t place(const std::vector<std::size_t> &resident,
-                      std::size_t tlp_limit) override;
+    std::size_t placeCtas(std::vector<std::size_t> &resident,
+                          std::size_t tlp_limit, std::size_t max_ctas,
+                          std::vector<std::size_t> &chosen) override;
 
   private:
     std::size_t cursor = 0;
@@ -81,8 +83,9 @@ class PrioritySmScheduler : public CtaScheduler
     explicit PrioritySmScheduler(std::size_t sms_allowed);
 
     std::string name() const override { return "PSM"; }
-    std::size_t place(const std::vector<std::size_t> &resident,
-                      std::size_t tlp_limit) override;
+    std::size_t placeCtas(std::vector<std::size_t> &resident,
+                          std::size_t tlp_limit, std::size_t max_ctas,
+                          std::vector<std::size_t> &chosen) override;
 
     /** SM prefix length this scheduler uses. */
     std::size_t smsAllowed() const { return allowed; }

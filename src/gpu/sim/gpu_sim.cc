@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <unordered_map>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -31,6 +33,80 @@ SimResult::averagePowerW() const
 
 GpuSim::GpuSim(GpuSpec gpu) : gpuSpec(gpu), energy(gpu) {}
 
+namespace {
+
+/**
+ * Every input runOneLaunch() reads besides the bound GPU. The kernel
+ * name only labels assert messages, and `launches` is applied after
+ * the single launch is simulated, so neither is part of the key.
+ * Doubles compare by exact value.
+ */
+struct LaunchKey
+{
+    std::size_t gridSize;
+    double ctaWorkFlops;
+    std::size_t blockSize;
+    double issueDensity;
+    double bytesPerFlop;
+    SchedKind scheduler;
+    std::size_t tlpLimit;
+    std::size_t smsAllowed;
+    bool powerGateIdle;
+
+    LaunchKey(const KernelDesc &k, const LaunchConfig &c)
+        : gridSize(k.gridSize), ctaWorkFlops(k.ctaWorkFlops),
+          blockSize(k.blockSize), issueDensity(k.issueDensity),
+          bytesPerFlop(k.bytesPerFlop), scheduler(c.scheduler),
+          tlpLimit(c.tlpLimit), smsAllowed(c.smsAllowed),
+          powerGateIdle(c.powerGateIdle)
+    {
+    }
+
+    bool operator==(const LaunchKey &o) const = default;
+};
+
+struct LaunchKeyHash
+{
+    std::size_t
+    operator()(const LaunchKey &k) const
+    {
+        std::size_t h = 0;
+        auto mix = [&h](std::size_t v) {
+            h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+        };
+        const std::hash<double> hd;
+        mix(k.gridSize);
+        mix(hd(k.ctaWorkFlops));
+        mix(k.blockSize);
+        mix(hd(k.issueDensity));
+        mix(hd(k.bytesPerFlop));
+        mix(std::size_t(k.scheduler));
+        mix(k.tlpLimit);
+        mix(k.smsAllowed);
+        mix(std::size_t(k.powerGateIdle));
+        return h;
+    }
+};
+
+/** `launches` identical sequential launches of `one`. */
+SimResult
+repeated(const SimResult &one, std::size_t launches)
+{
+    // Identical launches: scale instead of re-simulating.
+    SimResult r = one;
+    const double k = double(launches);
+    r.timeS *= k;
+    r.flops *= k;
+    r.energy.baseJ *= k;
+    r.energy.staticJ *= k;
+    r.energy.dynamicJ *= k;
+    for (auto &b : r.smBusyS)
+        b *= k;
+    return r;
+}
+
+} // namespace
+
 SimResult
 GpuSim::runOneLaunch(const KernelDesc &kernel,
                      const LaunchConfig &cfg) const
@@ -48,40 +124,44 @@ GpuSim::runOneLaunch(const KernelDesc &kernel,
     std::vector<std::size_t> counts(n_sms, 0);
     std::vector<double> busy(n_sms, 0.0);
     std::vector<bool> touched(n_sms, false);
+    std::vector<std::size_t> chosen;
 
     std::size_t pending = kernel.gridSize;
     std::size_t in_flight = 0;
     std::size_t retired = 0;
 
     auto refill = [&]() {
-        while (pending > 0) {
-            const std::size_t sm = sched->place(counts, cfg.tlpLimit);
-            if (sm == CtaScheduler::noSm)
-                break;
+        if (pending == 0)
+            return;
+        chosen.clear();
+        sched->placeCtas(counts, cfg.tlpLimit, pending, chosen);
+        for (const std::size_t sm : chosen) {
             PCNN_DCHECK_LT(sm, n_sms, "scheduler placed CTA off-chip");
-            PCNN_DCHECK_LT(counts[sm], cfg.tlpLimit,
+            PCNN_DCHECK_LE(counts[sm], cfg.tlpLimit,
                            "scheduler overfilled an SM");
             resident[sm].push_back(kernel.ctaWorkFlops);
-            ++counts[sm];
             touched[sm] = true;
-            --pending;
-            ++in_flight;
         }
+        pending -= chosen.size();
+        in_flight += chosen.size();
     };
     refill();
     pcnn_assert(in_flight > 0, "kernel ", kernel.name,
                 ": scheduler placed no CTAs");
 
-    // Per-SM throughput at a given resident count (latency hiding
-    // improves with more resident threads, as in the kernel model).
-    auto sm_rate = [&](std::size_t ctas) {
-        if (ctas == 0)
-            return 0.0;
+    // Per-CTA throughput at each resident count: the SM's rate
+    // (latency hiding improves with more resident threads, as in the
+    // kernel model) shared by its CTAs.
+    std::vector<double> per_cta_rate(
+        std::min(cfg.tlpLimit, kernel.gridSize) + 1, 0.0);
+    for (std::size_t ctas = 1; ctas < per_cta_rate.size(); ++ctas) {
         const double lat = std::clamp(
             double(ctas * kernel.blockSize) / SgemmModel::hideThreads,
             SgemmModel::latencyFloor, 1.0);
-        return gpuSpec.peakFlopsPerSM() * kernel.issueDensity * lat;
-    };
+        const double sm_rate =
+            gpuSpec.peakFlopsPerSM() * kernel.issueDensity * lat;
+        per_cta_rate[ctas] = sm_rate / double(ctas);
+    }
 
     double now = 0.0;
     while (in_flight > 0) {
@@ -91,11 +171,9 @@ GpuSim::runOneLaunch(const KernelDesc &kernel,
         for (std::size_t sm = 0; sm < n_sms; ++sm) {
             if (counts[sm] == 0)
                 continue;
-            const double per_cta =
-                sm_rate(counts[sm]) / double(counts[sm]);
             const double least = *std::min_element(
                 resident[sm].begin(), resident[sm].end());
-            dt = std::min(dt, least / per_cta);
+            dt = std::min(dt, least / per_cta_rate[counts[sm]]);
         }
         pcnn_assert(std::isfinite(dt) && dt >= 0.0,
                     "simulator event horizon broke");
@@ -105,8 +183,7 @@ GpuSim::runOneLaunch(const KernelDesc &kernel,
             if (counts[sm] == 0)
                 continue;
             busy[sm] += dt;
-            const double per_cta =
-                sm_rate(counts[sm]) / double(counts[sm]);
+            const double per_cta = per_cta_rate[counts[sm]];
             auto &list = resident[sm];
             for (auto &work : list)
                 work -= per_cta * dt;
@@ -165,29 +242,39 @@ GpuSim::runKernel(const KernelDesc &kernel, const LaunchConfig &cfg) const
     SimResult one = runOneLaunch(kernel, cfg);
     if (kernel.launches <= 1)
         return one;
-
-    // Identical launches: scale instead of re-simulating.
-    SimResult r = one;
-    const double k = double(kernel.launches);
-    r.timeS *= k;
-    r.flops *= k;
-    r.energy.baseJ *= k;
-    r.energy.staticJ *= k;
-    r.energy.dynamicJ *= k;
-    for (auto &b : r.smBusyS)
-        b *= k;
-    return r;
+    return repeated(one, kernel.launches);
 }
 
-SimResult
-GpuSim::runSequence(
-    const std::vector<std::pair<KernelDesc, LaunchConfig>> &seq) const
+std::vector<SimResult>
+GpuSim::runSequences(
+    std::size_t count,
+    const std::function<void(std::size_t, KernelSequence &)> &build) const
 {
-    SimResult total;
-    total.smBusyS.assign(gpuSpec.numSMs, 0.0);
-    for (const auto &[kernel, cfg] : seq)
-        total.accumulate(runKernel(kernel, cfg));
-    return total;
+    // runOneLaunch is a pure function of its LaunchKey and the bound
+    // GPU, so a repeated launch reuses the first result exactly. The
+    // memo lives only for this call: a later call (another study, in
+    // a benchmark) simulates its launches afresh.
+    std::unordered_map<LaunchKey, SimResult, LaunchKeyHash> memo;
+    std::vector<SimResult> results;
+    results.reserve(count);
+    KernelSequence seq;
+    for (std::size_t i = 0; i < count; ++i) {
+        build(i, seq);
+        SimResult total;
+        total.smBusyS.assign(gpuSpec.numSMs, 0.0);
+        for (const auto &[kernel, cfg] : seq) {
+            const auto [it, fresh] =
+                memo.try_emplace(LaunchKey(kernel, cfg));
+            if (fresh)
+                it->second = runOneLaunch(kernel, cfg);
+            if (kernel.launches <= 1)
+                total.accumulate(it->second);
+            else
+                total.accumulate(repeated(it->second, kernel.launches));
+        }
+        results.push_back(std::move(total));
+    }
+    return results;
 }
 
 PartitionedResult

@@ -12,7 +12,9 @@
 #ifndef PCNN_GPU_SIM_GPU_SIM_HH
 #define PCNN_GPU_SIM_GPU_SIM_HH
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/gpu_spec.hh"
@@ -61,6 +63,9 @@ struct SimResult
     double averagePowerW() const;
 };
 
+/** Kernels run back to back (e.g. the conv layers of one inference). */
+using KernelSequence = std::vector<std::pair<KernelDesc, LaunchConfig>>;
+
 /** One kernel pinned to an SM range for spatial co-location. */
 struct PartitionedKernel
 {
@@ -100,11 +105,20 @@ class GpuSim
                         const LaunchConfig &cfg) const;
 
     /**
-     * Simulate a sequence of kernels (e.g. the conv layers of one
-     * inference) and aggregate time/energy.
+     * Simulate `count` kernel sequences (e.g. the conv layers of one
+     * inference, at every level of a tuning path) and aggregate each
+     * one's time/energy in kernel order. `build(i, seq)` makes `seq`
+     * the i-th sequence; `seq` still holds sequence i-1, so overwriting
+     * its entries in place reuses their storage.
+     *
+     * Within this one call each distinct single launch is simulated
+     * once. A repeat reuses the stored result, so every result is
+     * bitwise the sum of runKernel() over its sequence. Nothing is
+     * kept after the call returns.
      */
-    SimResult runSequence(
-        const std::vector<std::pair<KernelDesc, LaunchConfig>> &seq)
+    std::vector<SimResult> runSequences(
+        std::size_t count,
+        const std::function<void(std::size_t, KernelSequence &)> &build)
         const;
 
     /**

@@ -59,6 +59,22 @@ class RuntimeKernelScheduler
                       const std::vector<std::size_t> *positions =
                           nullptr) const;
 
+    /**
+     * Simulate one batch inference of a plan at several tuning
+     * levels in one call; execute() is the one-level case. Each
+     * distinct kernel launch across the levels is simulated once
+     * (GpuSim::runSequences), so result i is bitwise what execute()
+     * returns for `levels[i]`.
+     *
+     * @param levels per-layer perforation of each level; a nullptr
+     *        entry means exact execution
+     * @return one result per level, in order
+     */
+    std::vector<SimResult> executeLevels(
+        const CompiledPlan &plan, const ExecPolicy &policy,
+        const std::vector<const std::vector<std::size_t> *> &levels)
+        const;
+
     /** The simulator, for direct experimentation. */
     const GpuSim &sim() const { return gpuSim; }
 

@@ -23,27 +23,36 @@ bestOverTuningPath(const ScheduleContext &ctx, const CompiledPlan &plan,
     const AccuracyTuner tuner(ctx.gpu, tcfg);
     const TuningTable table = tuner.tuneModeled(plan, ctx.profile);
 
+    // Levels whose true accuracy drop the user would actually notice
+    // are never profiled; the rest are simulated in one call.
     const double acc0 = ctx.profile.accuracyAt(1.0);
-    ScheduleOutcome best;
-    bool have_best = false;
-
+    std::vector<const TuningEntry *> kept;
+    std::vector<const std::vector<std::size_t> *> positions;
     for (std::size_t level = 0; level < table.levels(); ++level) {
         const TuningEntry &entry = table.entry(level);
         if (entry.accuracy <
             acc0 - IdealScheduler::acceptableAccuracyDrop) {
-            continue; // the user would actually notice
+            continue;
         }
+        kept.push_back(&entry);
+        positions.push_back(level == 0 ? nullptr : &entry.positions);
+    }
+    const RuntimeKernelScheduler rt(ctx.gpu);
+    const std::vector<SimResult> sims =
+        rt.executeLevels(plan, pcnnPolicy(), positions);
 
-        const std::vector<std::size_t> *positions =
-            level == 0 ? nullptr : &entry.positions;
+    ScheduleOutcome best;
+    bool have_best = false;
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+        const TuningEntry &entry = *kept[k];
         // The oracle knows the outputs are trustworthy, so its
         // accuracy satisfaction is never docked by a pessimistic
         // entropy reading: report entropy clamped to the threshold.
         const double oracle_entropy =
             std::min(entry.entropy, ctx.requirement.entropyThreshold);
-        ScheduleOutcome out = sched::simulatePlan(
-            ctx, plan, pcnnPolicy(), positions, oracle_entropy,
-            entry.accuracy);
+        ScheduleOutcome out = sched::outcomeOf(ctx, plan, sims[k],
+                                               oracle_entropy,
+                                               entry.accuracy);
         out.scheduler = name;
         out.tuningSpeedup = entry.speedup;
         Scheduler::score(out, ctx);

@@ -4,14 +4,9 @@ namespace pcnn {
 namespace sched {
 
 ScheduleOutcome
-simulatePlan(const ScheduleContext &ctx, const CompiledPlan &plan,
-             const ExecPolicy &policy,
-             const std::vector<std::size_t> *positions, double entropy,
-             double accuracy)
+outcomeOf(const ScheduleContext &ctx, const CompiledPlan &plan,
+          const SimResult &sim, double entropy, double accuracy)
 {
-    const RuntimeKernelScheduler rt(ctx.gpu);
-    const SimResult sim = rt.execute(plan, policy, positions);
-
     ScheduleOutcome out;
     out.batch = plan.batch;
     // Response latency includes the time spent *accumulating* the
@@ -29,6 +24,17 @@ simulatePlan(const ScheduleContext &ctx, const CompiledPlan &plan,
     out.accuracy =
         accuracy >= 0.0 ? accuracy : ctx.profile.accuracyAt(1.0);
     return out;
+}
+
+ScheduleOutcome
+simulatePlan(const ScheduleContext &ctx, const CompiledPlan &plan,
+             const ExecPolicy &policy,
+             const std::vector<std::size_t> *positions, double entropy,
+             double accuracy)
+{
+    const RuntimeKernelScheduler rt(ctx.gpu);
+    return outcomeOf(ctx, plan, rt.execute(plan, policy, positions),
+                     entropy, accuracy);
 }
 
 } // namespace sched

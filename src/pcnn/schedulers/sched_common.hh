@@ -15,6 +15,17 @@ namespace pcnn {
 namespace sched {
 
 /**
+ * Build the raw (pre-score) outcome of one simulated batch: the
+ * response latency adds the time spent accumulating the batch, and
+ * the energy is split over its images.
+ * @param entropy output entropy to report (profile keep=1 if < 0)
+ * @param accuracy true accuracy to report (profile keep=1 if < 0)
+ */
+ScheduleOutcome outcomeOf(const ScheduleContext &ctx,
+                          const CompiledPlan &plan, const SimResult &sim,
+                          double entropy, double accuracy);
+
+/**
  * Simulate a plan and build the raw (pre-score) outcome.
  * @param positions per-layer perforation, nullptr = exact
  * @param entropy output entropy to report (profile keep=1 if < 0)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/synthetic.hh"
 #include "nn/model_zoo.hh"
 #include "pcnn/runtime/accuracy_tuner.hh"
@@ -229,6 +231,53 @@ TEST(RuntimeKernelScheduler, PerforationShortensExecution)
     const SimResult perf = rt.execute(plan, pcnnPolicy(), &half);
     EXPECT_LT(perf.timeS, full.timeS);
     EXPECT_LT(perf.energy.total(), full.energy.total());
+}
+
+TEST(RuntimeKernelScheduler, ExecuteLevelsMatchesOneLevelCalls)
+{
+    // The multi-level call simulates each distinct launch once and
+    // reuses it; every level must still be bitwise what a separate
+    // one-level call returns.
+    TunerConfig cfg;
+    cfg.entropyThreshold = std::numeric_limits<double>::infinity();
+    for (const NetDescriptor &net : {alexNet(), googleNet()}) {
+        for (const GpuSpec &gpu : allGpus()) {
+            const CompiledPlan plan =
+                OfflineCompiler(gpu).compileAtBatch(net, 1);
+            const TuningTable table =
+                AccuracyTuner(gpu, cfg).tuneModeled(
+                    plan, EntropyProfile::representative());
+            // Level 0 both as exact execution and as its explicit
+            // full-grid positions.
+            std::vector<const std::vector<std::size_t> *> levels = {
+                nullptr};
+            for (const TuningEntry &e : table.all())
+                levels.push_back(&e.positions);
+            const RuntimeKernelScheduler rt(gpu);
+            for (const ExecPolicy &policy :
+                 {pcnnPolicy(), baselinePolicy()}) {
+                const std::vector<SimResult> all =
+                    rt.executeLevels(plan, policy, levels);
+                ASSERT_EQ(all.size(), levels.size());
+                for (std::size_t i = 0; i < levels.size(); ++i) {
+                    SCOPED_TRACE(net.name + " on " + gpu.name + " " +
+                                 schedKindName(policy.scheduler) +
+                                 " level " + std::to_string(i));
+                    const SimResult one =
+                        rt.execute(plan, policy, levels[i]);
+                    EXPECT_EQ(all[i].timeS, one.timeS);
+                    EXPECT_EQ(all[i].flops, one.flops);
+                    EXPECT_EQ(all[i].energy.baseJ, one.energy.baseJ);
+                    EXPECT_EQ(all[i].energy.staticJ, one.energy.staticJ);
+                    EXPECT_EQ(all[i].energy.dynamicJ,
+                              one.energy.dynamicJ);
+                    EXPECT_EQ(all[i].smsUsed, one.smsUsed);
+                    EXPECT_EQ(all[i].smsPowered, one.smsPowered);
+                    EXPECT_EQ(all[i].smBusyS, one.smBusyS);
+                }
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------- Calibrator
