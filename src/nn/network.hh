@@ -164,9 +164,9 @@ class Network
     /**
      * Compile (or recompile) the graph-dispatch schedule for batches
      * up to `batch` (DESIGN.md §5j). forwardInto does this lazily
-     * when graphEnabled(); calling it up front — as ServeEngine does
-     * per replica at maxBatch — moves the one arena allocation out
-     * of the serving hot path. No-op when a compatible graph exists.
+     * when graphEnabled(); calling it up front at the serving batch
+     * ceiling moves the one arena allocation out of the serving hot
+     * path. No-op when a compatible graph exists.
      */
     void ensureCompiledGraph(std::size_t batch);
 

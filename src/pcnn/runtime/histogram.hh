@@ -2,7 +2,7 @@
  * @file
  * Latency-percentile and batch-size histogram helpers shared by the
  * analytical serving simulator (ServingSimulator) and the concurrent
- * serving engine (ServeEngine/ServeMetrics), so both report tails
+ * serving engine's metrics (TenantMetrics), so both report tails
  * with the same interpolation rule and the two can be cross-checked
  * number for number.
  */

@@ -4,92 +4,6 @@
 
 namespace pcnn {
 
-ServeMetrics::ServeMetrics()
-{
-    started = std::chrono::steady_clock::now();
-}
-
-void
-ServeMetrics::start()
-{
-    MutexLock lk(mu);
-    started = std::chrono::steady_clock::now();
-    latencies.clear();
-    queueWaits.clear();
-    hist = BatchSizeHistogram();
-    shedCount = 0;
-    highWater = 0;
-    steadyAllocs = 0;
-    steadyProbed = 0;
-}
-
-void
-ServeMetrics::recordBatch(std::size_t batch)
-{
-    MutexLock lk(mu);
-    hist.record(batch);
-}
-
-void
-ServeMetrics::recordLatency(double latency_s, double queue_s)
-{
-    MutexLock lk(mu);
-    // pcnn-analyze: allow(hot-path-alloc): per-request sample
-    // log (amortized doubling); recorded outside the worker's
-    // steady-state probe window by design.
-    latencies.push_back(latency_s);
-    // pcnn-analyze: allow(hot-path-alloc): see above.
-    queueWaits.push_back(queue_s);
-}
-
-void
-ServeMetrics::recordShed()
-{
-    MutexLock lk(mu);
-    ++shedCount;
-}
-
-void
-ServeMetrics::recordQueueDepth(std::size_t depth)
-{
-    MutexLock lk(mu);
-    highWater = std::max(highWater, depth);
-}
-
-void
-ServeMetrics::recordSteadyProbe(std::uint64_t allocs)
-{
-    MutexLock lk(mu);
-    steadyAllocs += allocs;
-    ++steadyProbed;
-}
-
-ServeMetricsSnapshot
-ServeMetrics::snapshot() const
-{
-    std::vector<double> lat, waits;
-    ServeMetricsSnapshot s;
-    {
-        MutexLock lk(mu);
-        lat = latencies;
-        waits = queueWaits;
-        s.batchHist = hist;
-        s.shed = shedCount;
-        s.queueHighWater = highWater;
-        s.steadyAllocs = steadyAllocs;
-        s.steadyProbedBatches = steadyProbed;
-        s.elapsedS = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - started)
-                         .count();
-    }
-    s.completed = lat.size();
-    s.latency = summarizeLatencies(std::move(lat));
-    s.queueWait = summarizeLatencies(std::move(waits));
-    s.throughputRps =
-        s.elapsedS > 0.0 ? double(s.completed) / s.elapsedS : 0.0;
-    return s;
-}
-
 TenantMetrics::TenantMetrics()
 {
     started = std::chrono::steady_clock::now();

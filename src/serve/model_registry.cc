@@ -5,12 +5,52 @@
 #include <utility>
 
 #include "common/check.hh"
+#include "common/logging.hh"
 #include "common/parallel.hh"
 #include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/model_zoo.hh"
 
 namespace pcnn {
+
+namespace {
+
+/// EWMA smoothing: heavy enough to damp scheduler noise, light
+/// enough to track DVFS-style service-time drift within ~10 batches.
+constexpr double kAlpha = 0.3;
+
+} // namespace
+
+ServiceEstimator::ServiceEstimator(std::size_t max_batch)
+    : cap(max_batch), ewma(max_batch + 1, 0.0)
+{
+    pcnn_assert(cap >= 1, "estimator maxBatch must be >= 1");
+}
+
+void
+ServiceEstimator::record(std::size_t batch, double service_s)
+{
+    pcnn_assert(batch >= 1 && batch <= cap,
+                "recorded batch out of range");
+    MutexLock lk(mu);
+    double &slot = ewma[batch];
+    slot = slot == 0.0 ? service_s
+                       : (1.0 - kAlpha) * slot + kAlpha * service_s;
+}
+
+double
+ServiceEstimator::estS(std::size_t batch) const
+{
+    const std::size_t b = std::min(batch, cap);
+    MutexLock lk(mu);
+    // Exact size first, then the largest observed size under it:
+    // service time grows with batch, so a smaller batch's time is a
+    // usable (under-)estimate while samples are still sparse.
+    for (std::size_t i = b; i >= 1; --i)
+        if (ewma[i] != 0.0)
+            return ewma[i];
+    return 0.0;
+}
 
 std::string
 registerStatusName(RegisterStatus status)

@@ -14,8 +14,7 @@
  * The schedule is built (or adopted from a serialized plan-v4
  * section) exactly once per model at registration; replicas then
  * adopt the same pure-data schedule, so N replicas cost N arena
- * allocations and zero graph recompiles — the per-engine compile in
- * the single-model ServeEngine generalized to a shared artifact.
+ * allocations and zero graph recompiles.
  */
 
 #ifndef PCNN_SERVE_MODEL_REGISTRY_HH
@@ -27,11 +26,43 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.hh"
 #include "nn/graph/graph_ir.hh"
 #include "nn/network.hh"
-#include "serve/batcher.hh"
 
 namespace pcnn {
+
+/**
+ * Thread-safe per-batch-size EWMA service-time model. Workers feed
+ * measured batch execution times back after every batch; consumers
+ * (background slack admission, autoscaling) read smoothed estimates.
+ */
+class ServiceEstimator
+{
+  public:
+    /** @param max_batch largest batch size tracked (>= 1) */
+    explicit ServiceEstimator(std::size_t max_batch);
+
+    /** Largest batch size tracked. */
+    std::size_t maxBatch() const { return cap; }
+
+    /** Feed back one measured batch execution time. */
+    void record(std::size_t batch, double service_s);
+
+    /**
+     * Estimated service time of a batch: the EWMA for that size, the
+     * largest observed size at or under it as a fallback, 0 before
+     * any observation (optimistic: never act earlier than measured
+     * evidence demands).
+     */
+    double estS(std::size_t batch) const;
+
+  private:
+    std::size_t cap;
+    mutable Mutex mu;
+    /// [batch] -> smoothed seconds, 0 unset
+    std::vector<double> ewma PCNN_GUARDED_BY(mu);
+};
 
 /** Per-model registration parameters. */
 struct ModelConfig

@@ -33,9 +33,14 @@ MultiTenantEngine::MultiTenantEngine(ModelRegistry &registry,
     PCNN_CHECK(cfg.initialReplicas >= 1,
                "engine needs at least one replica per model");
 
-    // Same contract as the single-model engine: pin the host-tuned
-    // kernel configuration before the first warm-up forward and
-    // before any worker thread exists.
+    // Pin the per-host tuned kernel tier/blocking (when a valid tune
+    // cache exists) before the first replica warm-up runs a GEMM and
+    // before any worker thread exists: the dispatch setters are not
+    // safe against concurrent GEMMs, and every worker must inherit
+    // the configuration the warm-ups ran under. If the process
+    // already ran a forward (a prototype whose logits serving must
+    // reproduce bitwise), the hook declines and the engine keeps the
+    // configuration those results were computed under.
     (void)applyHostTuneCacheOnce();
 
     lanes = cfg.lanesPerWorker != 0
@@ -81,14 +86,14 @@ MultiTenantEngine::Submission
 MultiTenantEngine::submit(std::size_t model, TaskClass cls,
                           Tensor input)
 {
-    PCNN_CHECK(model < models, "submit: model index ", model,
-               " out of range (", models, " models)");
+    Submission sub;
+    sub.status = SubmitStatus::InvalidArgument;
+    if (model >= models)
+        return sub;
     const Shape &in = reg.model(model).inputShape();
-    PCNN_CHECK(input.shape().n == 1 && input.shape().c == in.c &&
-                   input.shape().h == in.h && input.shape().w == in.w,
-               "submit: input ", input.shape().str(),
-               " mismatches expected [1,", in.c, ",", in.h, ",", in.w,
-               "]");
+    const Shape &got = input.shape();
+    if (got.n != 1 || got.c != in.c || got.h != in.h || got.w != in.w)
+        return sub;
 
     TenantRequest req;
     req.id = nextId.fetch_add(1, std::memory_order_relaxed);
@@ -110,7 +115,6 @@ MultiTenantEngine::submit(std::size_t model, TaskClass cls,
             : req.enqueued;
     std::future<TenantResult> fut = req.done.get_future();
 
-    Submission sub;
     sub.status = fabric.push(std::move(req));
     if (sub.status == SubmitStatus::Accepted)
         sub.result = std::move(fut);

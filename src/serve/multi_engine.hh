@@ -2,13 +2,13 @@
  * @file
  * Multi-model, multi-tenant serving engine (DESIGN.md §5k).
  *
- * Generalizes the single-model ServeEngine: one shared worker pool
- * serves every model in a ModelRegistry through the QueueFabric's
- * priority rules. Each model owns a replica pool (clones sharing the
- * frozen prototype's weights and panels, each with its own adopted
- * graph arena); a scaler thread grows and shrinks the pools with the
- * hysteresis policy in autoscaler.hh, cloning replicas without a
- * single weight repack or graph recompile.
+ * One shared worker pool serves every model in a ModelRegistry
+ * through the QueueFabric's priority rules. Each model owns a
+ * replica pool (clones sharing the frozen prototype's weights and
+ * panels, each with its own adopted graph arena); a scaler thread
+ * grows and shrinks the pools with the hysteresis policy in
+ * autoscaler.hh, cloning replicas without a single weight repack or
+ * graph recompile.
  *
  * Request flow: submit(model, class, image) -> fabric lanes ->
  * worker takes a grant, pops an idle replica of the granted model,
@@ -81,6 +81,9 @@ class MultiTenantEngine
      * (classRequirement): interactive/real-time ride the EDF urgent
      * lane, background the slack-funded lane. A shed background
      * request's future resolves with TenantResult::shed == true.
+     * An unknown model or an input of the wrong shape returns
+     * InvalidArgument without a future and without touching the
+     * queues or the metrics.
      */
     Submission submit(std::size_t model, TaskClass cls, Tensor input);
 

@@ -37,10 +37,18 @@
 #include "pcnn/task.hh"
 #include "serve/metrics.hh"
 #include "serve/model_registry.hh"
-#include "serve/request_queue.hh"
 #include "tensor/tensor.hh"
 
 namespace pcnn {
+
+/** Outcome of MultiTenantEngine::submit / QueueFabric::push. */
+enum class SubmitStatus
+{
+    Accepted,        ///< queued; the future will be fulfilled
+    QueueFull,       ///< shed: the bounded queue was at capacity
+    Stopped,         ///< the engine is stopping; no new work accepted
+    InvalidArgument, ///< unknown model or wrongly shaped input
+};
 
 /** Completed (or shed) multi-tenant inference. */
 struct TenantResult

@@ -25,7 +25,7 @@
 #include "common/random.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
-#include "serve/engine.hh"
+#include "serve/multi_engine.hh"
 
 namespace pcnn {
 namespace {
@@ -132,28 +132,32 @@ TEST(AllocProbe, ServingEngineSteadyStateIsAllocFree)
         GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
 
     Rng rng(42);
-    Network net = makeMiniAlexNet(rng);
-    EngineConfig cfg;
+    ModelRegistry reg;
+    ModelConfig mc;
+    mc.name = "alex";
+    mc.maxBatch = 1;
+    mc.maxReplicas = 1;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng), std::move(mc)),
+              RegisterStatus::Registered);
+    MultiEngineConfig cfg;
     cfg.workers = 1;
-    cfg.maxBatch = 1;
-    cfg.queueCapacity = 64;
-    cfg.maxWaitS = 0.0;
-    ServeEngine engine(net, cfg);
+    MultiTenantEngine engine(reg, cfg);
 
-    const Shape &in = net.inputShape();
+    const Shape &in = reg.model(0).inputShape();
     Rng inputs(9);
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<std::future<TenantResult>> futs;
     for (int i = 0; i < 24; ++i) {
         Tensor t(Shape{1, in.c, in.h, in.w});
         t.fillUniform(inputs, -1.0f, 1.0f);
-        auto sub = engine.submit(std::move(t));
+        auto sub =
+            engine.submit(0, TaskClass::Interactive, std::move(t));
         ASSERT_EQ(sub.status, SubmitStatus::Accepted);
         futs.push_back(std::move(sub.result));
     }
     for (auto &f : futs)
         f.get();
 
-    const ServeMetricsSnapshot m = engine.metrics();
+    const TenantMetricsSnapshot m = engine.metrics();
     engine.stop();
     // 24 batch-1 requests on one worker: at most the first batch is
     // outside the steady envelope.

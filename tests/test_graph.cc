@@ -38,7 +38,7 @@
 #include "nn/network.hh"
 #include "pcnn/offline/compiler.hh"
 #include "pcnn/offline/plan_io.hh"
-#include "serve/engine.hh"
+#include "serve/multi_engine.hh"
 
 namespace pcnn {
 namespace {
@@ -510,32 +510,64 @@ TEST(GraphServe, OneArenaPerReplicaAndBitwiseResults)
     proto.forwardInto(probe, false, want);
 
     setGraphEnabled(true);
-    EngineConfig cfg;
-    cfg.workers = 2;
-    cfg.maxBatch = 4;
-    ServeEngine engine(proto, cfg);
-    for (std::size_t w = 0; w < engine.workerCount(); ++w) {
-        // Exactly one compile — one arena allocation — per replica,
-        // taken in the constructor at the batch ceiling.
-        EXPECT_EQ(engine.replicaGraphCompiles(w), 1u) << "worker " << w;
-        EXPECT_GT(engine.replicaArenaBytes(w), 0u) << "worker " << w;
+    ModelRegistry reg;
+    ModelConfig mc;
+    mc.name = "incep";
+    mc.maxBatch = 4;
+    mc.maxReplicas = 2;
+    ASSERT_EQ(reg.registerModel(std::move(proto), std::move(mc)),
+              RegisterStatus::Registered);
+    Model &model = reg.model(0);
+
+    // Exactly one compile — one arena allocation — per replica,
+    // taken when the replica adopts the registration-time schedule
+    // at the batch ceiling.
+    std::vector<Network> replicas;
+    for (int i = 0; i < 2; ++i) {
+        replicas.push_back(model.makeReplica(1));
+        const Network &r = replicas.back();
+        EXPECT_EQ(r.graphCompileCount(), 1u) << "replica " << i;
+        ASSERT_NE(r.compiledGraph(), nullptr) << "replica " << i;
+        EXPECT_GT(r.compiledGraph()->arenaBytes(), 0u)
+            << "replica " << i;
     }
 
-    std::vector<std::future<ServeResult>> futs;
+    MultiEngineConfig cfg;
+    cfg.workers = 2;
+    cfg.initialReplicas = 2;
+    MultiTenantEngine engine(reg, cfg);
+    std::vector<std::future<TenantResult>> futs;
     for (int i = 0; i < 12; ++i) {
-        auto sub = engine.submit(probe);
+        auto sub = engine.submit(0, TaskClass::Interactive, probe);
         ASSERT_EQ(sub.status, SubmitStatus::Accepted);
         futs.push_back(std::move(sub.result));
     }
     for (auto &f : futs) {
-        const ServeResult r = f.get();
+        const TenantResult r = f.get();
         EXPECT_TRUE(bitwiseEqual(r.logits, want))
             << "served logits diverge from the prototype's";
     }
     engine.stop();
-    for (std::size_t w = 0; w < engine.workerCount(); ++w)
-        EXPECT_EQ(engine.replicaGraphCompiles(w), 1u)
-            << "worker " << w << " recompiled while serving";
+    // A recompile inside a worker would allocate a fresh arena in
+    // the steady-state probe window.
+    EXPECT_EQ(engine.metrics().steadyAllocs, 0u);
+
+    // A replica that has served batches up to the ceiling still
+    // owns the one graph it adopted.
+    Tensor batch(Shape{4, probe.shape().c, probe.shape().h,
+                       probe.shape().w});
+    for (std::size_t i = 0; i < 4; ++i)
+        std::memcpy(batch.data() + i * probe.size(), probe.data(),
+                    probe.size() * sizeof(float));
+    for (Network &r : replicas) {
+        Tensor out;
+        r.forwardInto(probe, false, out);
+        EXPECT_TRUE(bitwiseEqual(out, want));
+        r.forwardInto(batch, false, out);
+        EXPECT_TRUE(bitwiseEqual(out.item(3), want));
+        EXPECT_EQ(r.graphCompileCount(), 1u)
+            << "replica recompiled while serving";
+    }
 }
 
 } // namespace

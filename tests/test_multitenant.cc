@@ -2,18 +2,24 @@
  * @file
  * Multi-tenant serving tests (DESIGN.md §5k): model registry and
  * arena budget accounting, schedule adoption at registration, queue
- * fabric priority/admission/slack policy, autoscaler hysteresis, and
- * the MultiTenantEngine end to end — per-model bitwise logits across
- * replica counts, shed-before-interactive, zero steady-state repacks
- * and allocations across a scale-up.
+ * fabric priority/admission/slack policy and MPMC delivery,
+ * autoscaler hysteresis, and the MultiTenantEngine end to end —
+ * per-model bitwise logits across worker and replica counts,
+ * shed-before-interactive, zero steady-state repacks and allocations
+ * across a scale-up, metrics, lane partitioning, and rejection of
+ * malformed submissions. Also the shared-weight contracts serving
+ * relies on (DESIGN.md §5f): batch-row purity and the freeze that
+ * cloneSharingWeights puts on both sides.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_count.hh"
@@ -22,6 +28,7 @@
 #include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/model_zoo.hh"
+#include "nn/serialize.hh"
 #include "pcnn/offline/plan_io.hh"
 #include "serve/autoscaler.hh"
 #include "serve/model_registry.hh"
@@ -29,9 +36,24 @@
 #include "serve/scheduler.hh"
 #include "tensor/tensor_ops.hh"
 #include "tensor/winograd.hh"
+#include "train/sgd.hh"
 
 namespace pcnn {
 namespace {
+
+// The engine spawns worker threads; the default "fast" (plain fork)
+// death-test style is unsafe once threads exist.
+class ThreadsafeDeathStyle : public ::testing::Environment
+{
+    void
+    SetUp() override
+    {
+        ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    }
+};
+
+const auto *const g_death_style =
+    ::testing::AddGlobalTestEnvironment(new ThreadsafeDeathStyle);
 
 Tensor
 randomInput(Rng &rng, const Shape &in)
@@ -419,6 +441,107 @@ TEST(QueueFabric, BackgroundBatchIsBoundedByOccupancyBudget)
     EXPECT_EQ(fabric.backgroundQueued(0), 5u);
 }
 
+TEST(QueueFabric, MpmcStressDeliversEachRequestOnce)
+{
+    Rng rng(3);
+    ModelRegistry reg;
+    ASSERT_EQ(reg.registerModel(makeMiniVgg(rng),
+                                modelConfig("a", 4, 2)),
+              RegisterStatus::Registered);
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+                                modelConfig("b", 4, 2)),
+              RegisterStatus::Registered);
+    TenantMetrics meter;
+    FabricConfig fc;
+    fc.queueCapacity = 16; // small: producers hit QueueFull and evict
+    QueueFabric fabric(reg, fc, meter);
+    constexpr std::size_t kProducers = 4, kConsumers = 2;
+    constexpr std::uint64_t kPerProducer = 200;
+    constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+
+    // One idle replica per consumer and model: consumers may hold
+    // concurrent grants of the same model.
+    for (std::size_t m = 0; m < reg.size(); ++m)
+        for (std::size_t c = 0; c < kConsumers; ++c)
+            fabric.addIdle(m);
+
+    std::vector<std::atomic<int>> granted(kTotal);
+    for (auto &g : granted)
+        g = 0;
+    std::atomic<bool> badGrant{false};
+
+    std::vector<std::thread> consumers;
+    for (std::size_t c = 0; c < kConsumers; ++c)
+        consumers.emplace_back([&] {
+            for (;;) {
+                BatchGrant g = fabric.take();
+                if (g.batch.empty())
+                    return; // closed and drained
+                if (g.batch.size() > reg.model(g.model).maxBatch())
+                    badGrant = true;
+                for (TenantRequest &r : g.batch) {
+                    if (r.model != g.model ||
+                        r.urgent() == g.background)
+                        badGrant = true;
+                    granted[r.id].fetch_add(1);
+                    r.done.set_value(TenantResult{});
+                }
+                fabric.addIdle(g.model);
+            }
+        });
+
+    // Producers mix both lanes and both models; a rejected request
+    // is resubmitted under the same id until the fabric accepts it.
+    std::vector<std::future<TenantResult>> futs(kTotal);
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p)
+        producers.emplace_back([&, p] {
+            for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+                const std::uint64_t id = p * kPerProducer + i;
+                for (;;) {
+                    TenantRequest req = makeRequest(
+                        id % 2,
+                        id % 3 == 0 ? TaskClass::Interactive
+                                    : TaskClass::Background,
+                        Tensor(Shape{1, 1, 1, 1}));
+                    req.id = id;
+                    std::future<TenantResult> fut =
+                        req.done.get_future();
+                    if (fabric.push(std::move(req)) ==
+                        SubmitStatus::Accepted) {
+                        futs[id] = std::move(fut);
+                        break;
+                    }
+                    std::this_thread::yield();
+                }
+            }
+        });
+
+    for (auto &t : producers)
+        t.join();
+    fabric.close();
+    for (auto &t : consumers)
+        t.join();
+
+    // Every accepted request was either granted exactly once or
+    // evicted by admission control (fulfilled as shed) — never both,
+    // never neither — and the fabric drained completely.
+    EXPECT_FALSE(badGrant.load());
+    std::uint64_t shed = 0;
+    for (std::uint64_t id = 0; id < kTotal; ++id) {
+        ASSERT_TRUE(futs[id].valid());
+        const bool wasShed = futs[id].get().shed;
+        shed += wasShed ? 1 : 0;
+        EXPECT_EQ(granted[id].load(), wasShed ? 0 : 1)
+            << "request " << id;
+    }
+    EXPECT_EQ(shed, meter.snapshot().backgroundEvicted);
+    for (std::size_t m = 0; m < reg.size(); ++m) {
+        EXPECT_EQ(fabric.queued(m), 0u);
+        EXPECT_EQ(fabric.idleCount(m), kConsumers);
+    }
+}
+
 // -------------------------------------------------------- Autoscaler
 
 AutoscalerConfig
@@ -542,34 +665,89 @@ TEST(MultiTenant, PerModelBitwiseLogitsAcrossReplicaCounts)
         }
     }
 
-    MultiTenantEngine engine(reg, engineConfig(2));
-    for (std::size_t replicas : {1u, 2u, 4u}) {
-        for (std::size_t m = 0; m < reg.size(); ++m)
-            ASSERT_EQ(engine.scaleTo(m, replicas), replicas);
-        std::vector<std::vector<std::future<TenantResult>>> futs(
-            reg.size());
-        for (std::size_t m = 0; m < reg.size(); ++m) {
-            for (const Tensor &x : xs[m]) {
-                auto sub =
-                    engine.submit(m, TaskClass::Interactive, x);
-                ASSERT_EQ(sub.status, SubmitStatus::Accepted);
-                futs[m].push_back(std::move(sub.result));
+    // The worker count changes the lane partition each forward runs
+    // under; the substrate is bitwise-deterministic across lane
+    // counts, so neither it nor the replica count may move a bit.
+    for (std::size_t workers : {1u, 2u, 4u}) {
+        MultiTenantEngine engine(reg, engineConfig(workers));
+        for (std::size_t replicas : {1u, 2u, 4u}) {
+            for (std::size_t m = 0; m < reg.size(); ++m)
+                ASSERT_EQ(engine.scaleTo(m, replicas), replicas);
+            std::vector<std::vector<std::future<TenantResult>>> futs(
+                reg.size());
+            for (std::size_t m = 0; m < reg.size(); ++m) {
+                for (const Tensor &x : xs[m]) {
+                    auto sub =
+                        engine.submit(m, TaskClass::Interactive, x);
+                    ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+                    futs[m].push_back(std::move(sub.result));
+                }
+            }
+            for (std::size_t m = 0; m < reg.size(); ++m) {
+                for (std::size_t i = 0; i < futs[m].size(); ++i) {
+                    const TenantResult r = futs[m][i].get();
+                    ASSERT_FALSE(r.shed);
+                    ASSERT_EQ(r.logits.size(), want[m][i].size());
+                    EXPECT_EQ(std::memcmp(r.logits.data(),
+                                          want[m][i].data(),
+                                          want[m][i].size() *
+                                              sizeof(float)),
+                              0)
+                        << "model " << m << " request " << i << " at "
+                        << workers << " workers, " << replicas
+                        << " replicas";
+                }
             }
         }
-        for (std::size_t m = 0; m < reg.size(); ++m) {
-            for (std::size_t i = 0; i < futs[m].size(); ++i) {
-                const TenantResult r = futs[m][i].get();
-                ASSERT_FALSE(r.shed);
-                ASSERT_EQ(r.logits.size(), want[m][i].size());
-                EXPECT_EQ(std::memcmp(r.logits.data(),
-                                      want[m][i].data(),
-                                      want[m][i].size() *
-                                          sizeof(float)),
-                          0)
-                    << "model " << m << " request " << i << " at "
-                    << replicas << " replicas";
-            }
+    }
+}
+
+TEST(Serve, WorkerCountsProduceBitwiseIdenticalLogits)
+{
+    // Identical weight init in two registries (same seed); the only
+    // difference between the runs is the worker and replica count,
+    // and with it the lane partition each forward runs under. The substrate is
+    // bitwise-deterministic across lane counts, so no bit may move.
+    Rng inputs(13);
+    Rng rng1(42), rng4(42);
+    ModelRegistry reg1, reg4;
+    ASSERT_EQ(reg1.registerModel(makeMiniAlexNet(rng1),
+                                 modelConfig("alex", 1, 4)),
+              RegisterStatus::Registered);
+    ASSERT_EQ(reg4.registerModel(makeMiniAlexNet(rng4),
+                                 modelConfig("alex", 1, 4)),
+              RegisterStatus::Registered);
+    std::vector<Tensor> xs;
+    for (int i = 0; i < 8; ++i)
+        xs.push_back(randomInput(inputs, reg1.model(0).inputShape()));
+
+    auto run = [&](ModelRegistry &reg, std::size_t workers) {
+        MultiTenantEngine engine(reg, engineConfig(workers));
+        EXPECT_EQ(engine.scaleTo(0, workers), workers);
+        std::vector<std::future<TenantResult>> futs;
+        for (const Tensor &x : xs) {
+            auto sub = engine.submit(0, TaskClass::Interactive, x);
+            EXPECT_EQ(sub.status, SubmitStatus::Accepted);
+            futs.push_back(std::move(sub.result));
         }
+        std::vector<Tensor> out;
+        for (auto &f : futs) {
+            TenantResult r = f.get();
+            EXPECT_FALSE(r.shed);
+            out.push_back(std::move(r.logits));
+        }
+        return out;
+    };
+
+    const auto one = run(reg1, 1);
+    const auto four = run(reg4, 4);
+    ASSERT_EQ(one.size(), four.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+        ASSERT_EQ(one[i].size(), four[i].size());
+        EXPECT_EQ(std::memcmp(one[i].data(), four[i].data(),
+                              one[i].size() * sizeof(float)),
+                  0)
+            << "request " << i << " differs between 1 and 4 workers";
     }
 }
 
@@ -742,6 +920,197 @@ TEST(MultiTenant, DrainsEverythingOnStopAndRejectsAfter)
                           randomInput(inputs, in))
                   .status,
               SubmitStatus::Stopped);
+}
+
+TEST(MultiTenant, MetricsCountClassesAndTails)
+{
+    Rng rng(59);
+    ModelRegistry reg;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+                                modelConfig("alex", 4, 1)),
+              RegisterStatus::Registered);
+    MultiTenantEngine engine(reg, engineConfig(1));
+    Rng inputs(61);
+    const Shape &in = reg.model(0).inputShape();
+
+    std::vector<std::future<TenantResult>> futs;
+    for (int i = 0; i < 12; ++i) {
+        auto sub = engine.submit(
+            0,
+            i % 3 == 0 ? TaskClass::Background : TaskClass::Interactive,
+            randomInput(inputs, in));
+        ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+        futs.push_back(std::move(sub.result));
+    }
+    for (auto &f : futs)
+        ASSERT_FALSE(f.get().shed);
+
+    const TenantMetricsSnapshot m = engine.metrics();
+    EXPECT_EQ(m.completed, 12u);
+    EXPECT_EQ(m.shed, 0u);
+    const std::pair<TaskClass, std::uint64_t> expected[] = {
+        {TaskClass::Interactive, 8},
+        {TaskClass::RealTime, 0},
+        {TaskClass::Background, 4},
+    };
+    for (const auto &[cls, n] : expected) {
+        const TenantClassStats &c =
+            m.byClass[static_cast<std::size_t>(cls)];
+        EXPECT_EQ(c.completed, n);
+        EXPECT_EQ(c.shed, 0u);
+        EXPECT_EQ(c.sloMet + c.sloMissed, n);
+        EXPECT_EQ(c.latency.count, n);
+        if (n == 0)
+            continue;
+        EXPECT_GT(c.latency.p50S, 0.0);
+        EXPECT_LE(c.latency.p50S, c.latency.p99S);
+        EXPECT_LE(c.latency.p99S, c.latency.p999S);
+        EXPECT_LE(c.latency.p999S, c.latency.maxS);
+        EXPECT_LE(c.queueWait.maxS, c.latency.maxS);
+    }
+    EXPECT_GT(m.throughputRps, 0.0);
+    EXPECT_GE(m.queueHighWater, 1u);
+}
+
+TEST(MultiTenant, LanePartitionComposesWithoutOversubscription)
+{
+    Rng rng(47);
+    ModelRegistry reg;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+                                modelConfig("alex", 1, 2)),
+              RegisterStatus::Registered);
+    MultiEngineConfig cfg = engineConfig(2);
+    cfg.lanesPerWorker = 1;
+    MultiTenantEngine engine(reg, cfg);
+    EXPECT_EQ(engine.lanesPerWorker(), 1u);
+
+    Rng inputs(53);
+    auto sub = engine.submit(0, TaskClass::Interactive,
+                             randomInput(inputs,
+                                         reg.model(0).inputShape()));
+    ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+    EXPECT_FALSE(sub.result.get().shed);
+}
+
+TEST(MultiTenant, SubmitRejectsMalformedRequestsWithoutQueueing)
+{
+    Rng rng(67);
+    ModelRegistry reg;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+                                modelConfig("alex", 1, 1)),
+              RegisterStatus::Registered);
+    const Shape in = reg.model(0).inputShape();
+    Rng inputs(71);
+    const Tensor x = randomInput(inputs, in);
+    const Tensor want = reg.model(0).prototype().forward(x, false);
+    MultiTenantEngine engine(reg, engineConfig(1));
+
+    // Unknown model index.
+    auto badModel = engine.submit(engine.modelCount(),
+                                  TaskClass::Interactive, x);
+    EXPECT_EQ(badModel.status, SubmitStatus::InvalidArgument);
+    EXPECT_FALSE(badModel.result.valid());
+
+    // Wrong batch dimension and wrong per-item shape.
+    for (const Shape &bad :
+         {Shape{2, in.c, in.h, in.w}, Shape{1, in.c + 1, in.h, in.w},
+          Shape{1, in.c, in.h + 1, in.w}}) {
+        Tensor t(bad);
+        t.fillUniform(inputs, -1.0f, 1.0f);
+        auto sub = engine.submit(0, TaskClass::Background, t);
+        EXPECT_EQ(sub.status, SubmitStatus::InvalidArgument)
+            << bad.str();
+        EXPECT_FALSE(sub.result.valid());
+    }
+
+    // Nothing reached the fabric or the metrics...
+    EXPECT_EQ(engine.queueFabric().queued(0), 0u);
+    const TenantMetricsSnapshot m = engine.metrics();
+    EXPECT_EQ(m.completed, 0u);
+    EXPECT_EQ(m.shed, 0u);
+    EXPECT_EQ(m.queueHighWater, 0u);
+
+    // ...and the engine still serves a valid request bitwise.
+    auto ok = engine.submit(0, TaskClass::Interactive, x);
+    ASSERT_EQ(ok.status, SubmitStatus::Accepted);
+    const TenantResult r = ok.result.get();
+    ASSERT_EQ(r.logits.size(), want.size());
+    EXPECT_EQ(std::memcmp(r.logits.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+}
+
+// ------------------------------------- shared-weight contracts
+
+TEST(Serve, BatchedForwardIsBitwiseRowInvariant)
+{
+    // The engine serves one request inside varying batch sizes; this
+    // only preserves bitwise reproducibility because a batched
+    // forward computes each item exactly as a batch-1 forward would.
+    Rng rng(7);
+    Network net = makeMiniAlexNet(rng);
+    Tensor batch(Shape{3, net.inputShape().c, net.inputShape().h,
+                       net.inputShape().w});
+    batch.fillUniform(rng, -1.0f, 1.0f);
+
+    const Tensor together = net.forward(batch, false);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const Tensor alone = net.forward(batch.item(i), false);
+        ASSERT_EQ(alone.size(), together.shape().itemSize());
+        EXPECT_EQ(std::memcmp(alone.data(),
+                              together.data() +
+                                  i * together.shape().itemSize(),
+                              alone.size() * sizeof(float)),
+                  0)
+            << "batch row " << i << " differs from batch-1 forward";
+    }
+}
+
+using ServeDeathTest = ::testing::Test;
+
+TEST(ServeDeathTest, SgdStepOnSharedWeightsFails)
+{
+    Rng rng(59);
+    Network net = makeMiniAlexNet(rng);
+    Network replica = net.cloneSharingWeights();
+    SgdOptimizer opt(SgdConfig{});
+    EXPECT_DEATH(opt.step(net.params()), "shared across serving");
+}
+
+TEST(ServeDeathTest, WeightLoadIntoSharedWeightsFails)
+{
+    Rng rng(61);
+    Network net = makeMiniAlexNet(rng);
+    const auto bytes = serializeWeights(net);
+    Network replica = net.cloneSharingWeights();
+    EXPECT_DEATH((void)deserializeWeights(net, bytes),
+                 "shared across");
+}
+
+TEST(ServeDeathTest, MarkUpdatedOnSharedParamFails)
+{
+    Rng rng(67);
+    Network net = makeMiniAlexNet(rng);
+    Network replica = net.cloneSharingWeights();
+    Param *p = net.params().front();
+    ASSERT_TRUE(p->isShared());
+    EXPECT_DEATH(p->markUpdated(), "read-only");
+}
+
+TEST(Serve, CloneSharesStorageAndFreezesBothSides)
+{
+    Rng rng(71);
+    Network net = makeMiniAlexNet(rng);
+    Network replica = net.cloneSharingWeights();
+
+    const auto orig = net.params();
+    const auto copy = replica.params();
+    ASSERT_EQ(orig.size(), copy.size());
+    for (std::size_t i = 0; i < orig.size(); ++i) {
+        // Same Param object: storage is shared, not duplicated.
+        EXPECT_EQ(orig[i], copy[i]);
+        EXPECT_TRUE(orig[i]->isShared());
+    }
 }
 
 } // namespace
