@@ -11,8 +11,8 @@
  *
  *  - ScopedAllocCount probes a region of the calling thread:
  *    prepacked e2e forward and the serving engine's post-warmup
- *    batches must report 0 (tests/test_allocprobe.cc asserts it,
- *    bench_e2e_models / bench_serving_engine publish it per row);
+ *    batches must report 0 (tests/test_allocprobe.cc is the one
+ *    place that asserts it);
  *  - tools/pcnn_analyze proves the same property statically for
  *    PCNN_HOT_PATH-tagged functions — the runtime probe is the
  *    cross-check that the static whitelist stays honest.

@@ -22,9 +22,9 @@
  * Legitimate exemptions are grow-only scratch (capacity is reused
  * once warm), generation-gated repacks (run once per weight update),
  * and request plumbing outside the probed envelope. The runtime
- * cross-check (common/alloc_count.hh probes in tests and benches)
- * keeps the whitelist honest: a wrongly-allowed site shows up as a
- * non-zero steady-state allocation count.
+ * cross-check (common/alloc_count.hh probes in tests) keeps the
+ * whitelist honest: a wrongly-allowed site shows up as a non-zero
+ * steady-state allocation count.
  *
  * PCNN_BINARY_READER — the function parses untrusted length-driven
  * binary input. pcnn_analyze requires a validation (PCNN_CHECK /

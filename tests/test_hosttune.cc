@@ -176,6 +176,21 @@ TEST(HostTune, LoadRejectsMissingFile)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(HostTune, LoadRejectsCorruptFile)
+{
+    const std::string doc = serializeHostTune(sampleConfig());
+    const std::string path = tmpPath("corrupt.json");
+    const std::string garbage("\x7f\xff\x00garbage", 10);
+    for (const std::string &text :
+         {doc.substr(0, doc.size() / 2), garbage}) {
+        writeFile(path, text);
+        HostTuneConfig out;
+        std::string err;
+        EXPECT_FALSE(loadHostTune(path, out, err));
+        EXPECT_FALSE(err.empty());
+    }
+}
+
 TEST(HostTune, LoadRejectsForeignHost)
 {
     HostTuneConfig cfg = sampleConfig();
