@@ -1,8 +1,10 @@
 #include "nn/lrn_layer.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace pcnn {
 
@@ -29,28 +31,38 @@ LrnLayer::forwardInto(const Tensor &x, bool train, Tensor &y)
     scale.resize(s);
     const long half = long(size / 2);
     const float a_over_n = alpha / float(size);
+    const std::size_t plane = s.h * s.w;
 
-    for (std::size_t n = 0; n < s.n; ++n) {
-        for (std::size_t h = 0; h < s.h; ++h) {
-            for (std::size_t w = 0; w < s.w; ++w) {
+    // Each (n, h) row normalizes independently; every cell keeps its
+    // ascending-window double sum, so any partition gives the same
+    // bits.
+    parallelFor(
+        s.n * s.h,
+        [&](std::size_t r0, std::size_t r1, std::size_t) {
+            for (std::size_t r = r0; r < r1; ++r) {
+                const std::size_t n = r / s.h, h = r % s.h;
+                const std::size_t row = n * s.c * plane + h * s.w;
+                const float *xr = x.data() + row;
+                float *sr = scale.data() + row;
+                float *yr = y.data() + row;
                 for (std::size_t c = 0; c < s.c; ++c) {
-                    double sum = 0.0;
-                    for (long dc = -half; dc <= half; ++dc) {
-                        const long cc = long(c) + dc;
-                        if (cc < 0 || cc >= long(s.c))
-                            continue;
-                        const double v =
-                            x.at(n, std::size_t(cc), h, w);
-                        sum += v * v;
+                    const long c0 = std::max(long(c) - half, 0L);
+                    const long c1 = std::min(long(c) + half, long(s.c) - 1);
+                    for (std::size_t w = 0; w < s.w; ++w) {
+                        double sum = 0.0;
+                        for (long cc = c0; cc <= c1; ++cc) {
+                            const double v = xr[std::size_t(cc) * plane + w];
+                            sum += v * v;
+                        }
+                        const float sc = k + a_over_n * float(sum);
+                        const std::size_t i = c * plane + w;
+                        sr[i] = sc;
+                        yr[i] = xr[i] * std::pow(sc, -beta);
                     }
-                    const float sc = k + a_over_n * float(sum);
-                    scale.at(n, c, h, w) = sc;
-                    y.at(n, c, h, w) =
-                        x.at(n, c, h, w) * std::pow(sc, -beta);
                 }
             }
-        }
-    }
+        },
+        double(s.size()) * cost::kLrnElem);
     if (train) {
         lastInput = x;
         lastScale = scale;

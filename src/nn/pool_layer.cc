@@ -86,7 +86,7 @@ MaxPoolLayer::forwardInto(const Tensor &x, bool train, Tensor &y)
                 }
             }
         }
-    });
+    }, double(out.size()) * double(window * window) * cost::kPoolTap);
     haveCache = train;
 }
 

@@ -32,7 +32,7 @@ ReluLayer::forwardInto(const Tensor &x, bool train, Tensor &y)
             for (std::size_t i = 0; i < i1 - i0; ++i)
                 ys[i] = xs[i] > 0.0f ? xs[i] : 0.0f;
         }
-    });
+    }, double(x.size()) * cost::kSelectElem);
     haveCache = train;
 }
 
@@ -48,7 +48,7 @@ ReluLayer::backward(const Tensor &dy)
                                std::size_t) {
         for (std::size_t i = i0; i < i1; ++i)
             dx[i] = dy[i] * mask[i];
-    });
+    }, double(dy.size()) * cost::kSelectElem);
     return dx;
 }
 

@@ -1,6 +1,8 @@
 #include "pcnn/runtime/histogram.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -36,6 +38,81 @@ summarizeLatencies(std::vector<double> samples)
     s.p95S = percentileOfSorted(samples, 0.95);
     s.p99S = percentileOfSorted(samples, 0.99);
     s.p999S = percentileOfSorted(samples, 0.999);
+    return s;
+}
+
+std::size_t
+LatencyHistogram::bucketOf(std::uint64_t ns)
+{
+    constexpr std::uint64_t kSub = std::uint64_t(1) << kSubBits;
+    if (ns < kSub)
+        return std::size_t(ns);
+    ns = std::min(ns, (std::uint64_t(1) << kTopBit) - 1);
+    // ns = m * 2^e with m in [kSub, 2 kSub): octave e, sub-bucket m.
+    const unsigned e = unsigned(std::bit_width(ns)) - 1 - kSubBits;
+    return std::size_t((e + 1) * kSub + ((ns >> e) - kSub));
+}
+
+double
+LatencyHistogram::midpointNs(std::size_t bucket)
+{
+    constexpr std::size_t kSub = std::size_t(1) << kSubBits;
+    if (bucket < kSub)
+        return double(bucket);
+    const unsigned e = unsigned(bucket / kSub) - 1;
+    const double lo = double((bucket % kSub + kSub) << e);
+    return lo + (double(std::uint64_t(1) << e) - 1.0) / 2.0;
+}
+
+void
+LatencyHistogram::record(double seconds)
+{
+    seconds = std::max(seconds, 0.0);
+    ++counts[bucketOf(std::uint64_t(std::llround(
+        std::min(seconds * 1e9, 1e18))))];
+    minS = n == 0 ? seconds : std::min(minS, seconds);
+    maxS = n == 0 ? seconds : std::max(maxS, seconds);
+    sumS += seconds;
+    ++n;
+}
+
+double
+LatencyHistogram::valueAtRank(std::uint64_t rank) const
+{
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+        seen += counts[b];
+        if (seen > rank)
+            return midpointNs(b) * 1e-9;
+    }
+    return maxS;
+}
+
+double
+LatencyHistogram::percentile(double p) const
+{
+    const double idx = p * double(n - 1);
+    const std::uint64_t lo = std::uint64_t(idx);
+    const std::uint64_t hi = std::min(lo + 1, n - 1);
+    const double t = idx - double(lo);
+    const double a = valueAtRank(lo), b = valueAtRank(hi);
+    return std::clamp(a + t * (b - a), minS, maxS);
+}
+
+LatencySummary
+LatencyHistogram::summary() const
+{
+    LatencySummary s;
+    if (n == 0)
+        return s;
+    s.count = std::size_t(n);
+    s.meanS = sumS / double(n);
+    s.minS = minS;
+    s.maxS = maxS;
+    s.p50S = percentile(0.50);
+    s.p95S = percentile(0.95);
+    s.p99S = percentile(0.99);
+    s.p999S = percentile(0.999);
     return s;
 }
 

@@ -10,7 +10,9 @@
 #ifndef PCNN_PCNN_RUNTIME_HISTOGRAM_HH
 #define PCNN_PCNN_RUNTIME_HISTOGRAM_HH
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace pcnn {
@@ -40,6 +42,43 @@ struct LatencySummary
  * an empty sample yields the all-zero summary.
  */
 LatencySummary summarizeLatencies(std::vector<double> samples);
+
+/**
+ * Fixed-memory latency recorder for long-running servers: exact
+ * count, mean, min and max, and percentiles from log-linear buckets
+ * of nanoseconds (64 per octave, each reported at its midpoint, so a
+ * percentile is within 1/128 of the bucketed sample's value; samples
+ * under 64 ns are exact). Percentiles interpolate between ranks like
+ * percentileOfSorted and are clamped to [min, max]. Recording is
+ * O(1) and allocation-free, so memory does not grow with the number
+ * of requests served.
+ */
+class LatencyHistogram
+{
+  public:
+    /** Record one sample, in seconds (negative counts as 0). */
+    void record(double seconds);
+
+    /** Summary of every sample recorded so far. */
+    LatencySummary summary() const;
+
+  private:
+    static constexpr unsigned kSubBits = 6;
+    /// samples from 2^kTopBit ns (~18 min) up share the last bucket
+    static constexpr unsigned kTopBit = 40;
+    static constexpr std::size_t kBuckets =
+        std::size_t(kTopBit - kSubBits + 1) << kSubBits;
+
+    static std::size_t bucketOf(std::uint64_t ns);
+    static double midpointNs(std::size_t bucket);
+    /** Bucket midpoint of the sample at 0-based ascending rank. */
+    double valueAtRank(std::uint64_t rank) const;
+    double percentile(double p) const;
+
+    std::array<std::uint64_t, kBuckets> counts{};
+    std::uint64_t n = 0;
+    double sumS = 0.0, minS = 0.0, maxS = 0.0;
+};
 
 /**
  * Served-batch size distribution: counts[b] is the number of batches

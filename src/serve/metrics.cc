@@ -31,8 +31,8 @@ TenantMetrics::recordRequest(TaskClass cls, double latency_s,
 {
     MutexLock lk(mu);
     ClassAccum &c = byClass[static_cast<std::size_t>(cls)];
-    c.latencies.push_back(latency_s);
-    c.queueWaits.push_back(queue_s);
+    c.latency.record(latency_s);
+    c.queueWait.record(queue_s);
     if (slo_met)
         ++c.sloMet;
     else
@@ -89,16 +89,18 @@ TenantMetricsSnapshot
 TenantMetrics::snapshot() const
 {
     TenantMetricsSnapshot s;
-    std::vector<double> lat[kTaskClassCount];
-    std::vector<double> waits[kTaskClassCount];
     {
         MutexLock lk(mu);
         for (std::size_t i = 0; i < kTaskClassCount; ++i) {
-            lat[i] = byClass[i].latencies;
-            waits[i] = byClass[i].queueWaits;
-            s.byClass[i].shed = byClass[i].shed;
-            s.byClass[i].sloMet = byClass[i].sloMet;
-            s.byClass[i].sloMissed = byClass[i].sloMissed;
+            TenantClassStats &c = s.byClass[i];
+            c.latency = byClass[i].latency.summary();
+            c.queueWait = byClass[i].queueWait.summary();
+            c.completed = c.latency.count;
+            c.shed = byClass[i].shed;
+            c.sloMet = byClass[i].sloMet;
+            c.sloMissed = byClass[i].sloMissed;
+            s.completed += c.completed;
+            s.shed += c.shed;
         }
         s.replicaTrajectory = trajectory;
         s.backgroundEvicted = evicted;
@@ -110,14 +112,6 @@ TenantMetrics::snapshot() const
         s.elapsedS = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - started)
                          .count();
-    }
-    for (std::size_t i = 0; i < kTaskClassCount; ++i) {
-        TenantClassStats &c = s.byClass[i];
-        c.completed = lat[i].size();
-        c.latency = summarizeLatencies(std::move(lat[i]));
-        c.queueWait = summarizeLatencies(std::move(waits[i]));
-        s.completed += c.completed;
-        s.shed += c.shed;
     }
     s.throughputRps =
         s.elapsedS > 0.0 ? double(s.completed) / s.elapsedS : 0.0;

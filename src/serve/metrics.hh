@@ -5,9 +5,10 @@
  * replica trajectory, arena gauges and the steady-state allocation
  * probe.
  *
- * Uses the same LatencySummary helper as the analytical
- * ServingSimulator so engine measurements and simulator predictions
- * are directly comparable.
+ * Reports the same LatencySummary as the analytical ServingSimulator,
+ * with the same percentile rule, so engine measurements and simulator
+ * predictions are directly comparable; the engine's come from
+ * fixed-size histograms (within 1/128 of each sample's value).
  */
 
 #ifndef PCNN_SERVE_METRICS_HH
@@ -116,11 +117,14 @@ class TenantMetrics
     TenantMetricsSnapshot snapshot() const;
 
   private:
-    /** Mutable per-class accumulators. */
+    /**
+     * Mutable per-class accumulators. Fixed-size histograms, so the
+     * recorder's memory does not grow with the requests served.
+     */
     struct ClassAccum
     {
-        std::vector<double> latencies;
-        std::vector<double> queueWaits;
+        LatencyHistogram latency;
+        LatencyHistogram queueWait;
         std::uint64_t shed = 0;
         std::uint64_t sloMet = 0;
         std::uint64_t sloMissed = 0;

@@ -253,6 +253,7 @@ quantizePackActivations(const float *x, std::size_t k, std::size_t n,
 #else
     const bool vec = false;
 #endif
+    const double work = double(k) * double(n) * cost::kQuantizeElem;
     parallelFor(groups, [&](std::size_t g0, std::size_t g1, std::size_t) {
         for (std::size_t g = g0; g < g1; ++g) {
             std::uint8_t *dst = out.data() + g * stride;
@@ -287,7 +288,7 @@ quantizePackActivations(const float *x, std::size_t k, std::size_t n,
                 }
             }
         }
-    });
+    }, work);
 }
 
 // --------------------------------------------------- micro-kernels
@@ -789,18 +790,24 @@ qgemm(std::size_t m, std::size_t n, std::size_t k, const QuantizedPanel &a,
     const std::size_t nr = t.qk->nr;
     const std::size_t row_blocks = (m + mr - 1) / mr;
     const std::size_t col_blocks = (n + nr - 1) / nr;
+    const double work =
+        2.0 * double(m) * double(n) * double(k) * cost::kQgemmFlop;
     if (row_blocks >= col_blocks) {
-        parallelFor(row_blocks,
-                    [&](std::size_t b0, std::size_t b1, std::size_t) {
-                        qSweep(t, groups, a, b, ldb, c, ldc, b0 * mr,
-                               std::min(m, b1 * mr), 0, n, epi);
-                    });
+        parallelFor(
+            row_blocks,
+            [&](std::size_t b0, std::size_t b1, std::size_t) {
+                qSweep(t, groups, a, b, ldb, c, ldc, b0 * mr,
+                       std::min(m, b1 * mr), 0, n, epi);
+            },
+            work);
     } else {
-        parallelFor(col_blocks,
-                    [&](std::size_t b0, std::size_t b1, std::size_t) {
-                        qSweep(t, groups, a, b, ldb, c, ldc, 0, m,
-                               b0 * nr, std::min(n, b1 * nr), epi);
-                    });
+        parallelFor(
+            col_blocks,
+            [&](std::size_t b0, std::size_t b1, std::size_t) {
+                qSweep(t, groups, a, b, ldb, c, ldc, 0, m, b0 * nr,
+                       std::min(n, b1 * nr), epi);
+            },
+            work);
     }
 }
 

@@ -189,20 +189,21 @@ packB(std::size_t n, std::size_t k, const float *b, float *bp)
 {
     // b is stored n x k (trans_b); bp[p * n + j] = b[j * k + p].
     constexpr std::size_t kTile = 32;
-    parallelFor((k + kTile - 1) / kTile,
-                [&](std::size_t t0, std::size_t t1, std::size_t) {
-                    for (std::size_t t = t0; t < t1; ++t) {
-                        const std::size_t p0 = t * kTile;
-                        const std::size_t p1 = std::min(k, p0 + kTile);
-                        for (std::size_t jj = 0; jj < n; jj += kTile) {
-                            const std::size_t j1 =
-                                std::min(n, jj + kTile);
-                            for (std::size_t j = jj; j < j1; ++j)
-                                for (std::size_t p = p0; p < p1; ++p)
-                                    bp[p * n + j] = b[j * k + p];
-                        }
-                    }
-                });
+    parallelFor(
+        (k + kTile - 1) / kTile,
+        [&](std::size_t t0, std::size_t t1, std::size_t) {
+            for (std::size_t t = t0; t < t1; ++t) {
+                const std::size_t p0 = t * kTile;
+                const std::size_t p1 = std::min(k, p0 + kTile);
+                for (std::size_t jj = 0; jj < n; jj += kTile) {
+                    const std::size_t j1 = std::min(n, jj + kTile);
+                    for (std::size_t j = jj; j < j1; ++j)
+                        for (std::size_t p = p0; p < p1; ++p)
+                            bp[p * n + j] = b[j * k + p];
+                }
+            }
+        },
+        double(n) * double(k) * cost::kGatherElem);
 }
 
 /** Pack op(A) rows [r0, r1) into a row-major (r1-r0) x k panel. */
@@ -269,15 +270,15 @@ sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
         // beta-scaled C directly (elementwise, so the partition
         // cannot change bits).
         if (epi.active())
-            parallelFor((m + kEpiBlock - 1) / kEpiBlock,
-                        [&](std::size_t b0, std::size_t b1,
-                            std::size_t) {
-                            const std::size_t r0 = b0 * kEpiBlock;
-                            const std::size_t r1 =
-                                std::min(m, b1 * kEpiBlock);
-                            applyEpilogue(epi, r0, 0, r1 - r0, n,
-                                          c + r0 * n, n);
-                        });
+            parallelFor(
+                (m + kEpiBlock - 1) / kEpiBlock,
+                [&](std::size_t b0, std::size_t b1, std::size_t) {
+                    const std::size_t r0 = b0 * kEpiBlock;
+                    const std::size_t r1 = std::min(m, b1 * kEpiBlock);
+                    applyEpilogue(epi, r0, 0, r1 - r0, n, c + r0 * n,
+                                  n);
+                },
+                double(m) * double(n) * cost::kSelectElem);
         return;
     }
 
@@ -304,7 +305,9 @@ sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     // to the active tier's register blocking and every band runs its
     // own cache-blocked sweep with a fixed per-cell accumulation
     // order, so results are bitwise identical for every thread count
-    // (per tier/blocking).
+    // (per tier/blocking). The lane count follows the FLOPs.
+    const double work =
+        2.0 * double(m) * double(n) * double(k) * cost::kGemmFlop;
     if (row_blocks >= col_blocks || trans_a) {
         parallelFor(
             row_blocks,
@@ -323,15 +326,18 @@ sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                 }
                 rangeSweep(t, 0, r1 - r0, 0, n, k, amat, k, bmat, n,
                            c + r0 * n, n, epi, r0);
-            });
+            },
+            work);
     } else {
-        parallelFor(col_blocks,
-                    [&](std::size_t b0, std::size_t b1, std::size_t) {
-                        const std::size_t j0 = b0 * nr;
-                        const std::size_t j1 = std::min(n, b1 * nr);
-                        rangeSweep(t, 0, m, j0, j1, k, a, k, bmat, n,
-                                   c, n, epi, 0);
-                    });
+        parallelFor(
+            col_blocks,
+            [&](std::size_t b0, std::size_t b1, std::size_t) {
+                const std::size_t j0 = b0 * nr;
+                const std::size_t j1 = std::min(n, b1 * nr);
+                rangeSweep(t, 0, m, j0, j1, k, a, k, bmat, n, c, n, epi,
+                           0);
+            },
+            work);
     }
 }
 
@@ -456,6 +462,7 @@ im2col(const Tensor &x, std::size_t item, const ConvGeom &g,
 
     // One thread per band of cols-matrix rows: each row (c, ky, kx)
     // is a shifted copy of one input plane, written contiguously.
+    const double work = double(rows) * double(n_cols) * cost::kGatherElem;
     parallelFor(rows, [&](std::size_t r0, std::size_t r1,
                           std::size_t) {
         for (std::size_t r = r0; r < r1; ++r) {
@@ -490,7 +497,7 @@ im2col(const Tensor &x, std::size_t item, const ConvGeom &g,
                                 (ow - hi) * sizeof(float));
             }
         }
-    });
+    }, work);
 }
 
 void
@@ -518,6 +525,7 @@ im2colAt(const Tensor &x, std::size_t item, const ConvGeom &g,
     const float *xbase =
         x.data() + (item * x.shape().c + chan_off) * plane;
 
+    const double work = double(rows) * double(n_cols) * cost::kGatherElem;
     parallelFor(n_cols, [&](std::size_t i0, std::size_t i1,
                             std::size_t) {
         for (std::size_t i = i0; i < i1; ++i) {
@@ -545,7 +553,7 @@ im2colAt(const Tensor &x, std::size_t item, const ConvGeom &g,
                 }
             }
         }
-    });
+    }, work);
 }
 
 void

@@ -131,7 +131,7 @@ winogradForward(const Tensor &x, std::size_t item, const ConvGeom &g,
     const std::size_t in_h = g.inH, in_w = g.inW;
     const std::size_t pad = g.pad;
 
-    // pcnn-analyze: allow(hot-path-alloc): grow-only per-lane
+    // pcnn-analyze: allow(hot-path-alloc): grow-only job
     // transform scratch; sized by the largest tile set seen.
     if (scratch.v.size() < 16 * tiles * in_c)
         scratch.v.resize(16 * tiles * in_c);
@@ -185,7 +185,7 @@ winogradForward(const Tensor &x, std::size_t item, const ConvGeom &g,
                     v[(p * tiles + t) * in_c + ic] = vv[p / 4][p % 4];
             }
         }
-    });
+    }, double(tiles) * double(in_c) * cost::kWinogradTransform);
 
     // 2. Batched tile-GEMM: one product per transform point, each on
     // the persistent pre-transformed B operand. sgemm parallelizes
@@ -230,7 +230,7 @@ winogradForward(const Tensor &x, std::size_t item, const ConvGeom &g,
                 }
             }
         }
-    });
+    }, double(tiles) * double(out_c) * cost::kWinogradTransform);
 }
 
 } // namespace pcnn

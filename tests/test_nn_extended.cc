@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
+#include "common/parallel.hh"
 #include "data/synthetic.hh"
 #include "nn/avgpool_layer.hh"
 #include "nn/inception_layer.hh"
@@ -52,6 +54,62 @@ TEST(LrnLayer, StrongNeighborsSuppressMore)
     x.at(0, 2, 0, 0) = 1.0f;
     const Tensor y_crowded = lrn.forward(x, false);
     EXPECT_GT(y_isolated.at(0, 2, 0, 0), y_crowded.at(0, 2, 0, 0));
+}
+
+TEST(LrnLayer, ForwardBitwiseAcrossLaneCounts)
+{
+    const std::size_t size = 5;
+    const float alpha = 0.5f, beta = 0.75f, k = 2.0f;
+    Rng rng(3);
+    // 24 (n, h) rows and ~4.6k elements: enough estimated work for the
+    // cost gate to fan out over every tested lane count.
+    Tensor x(2, 16, 12, 12);
+    x.fillGaussian(rng, 0, 2);
+
+    // Serial reference: the plain per-cell loop over at().
+    Tensor want(x.shape());
+    const Shape &s = x.shape();
+    const long half = long(size / 2);
+    for (std::size_t n = 0; n < s.n; ++n)
+        for (std::size_t c = 0; c < s.c; ++c)
+            for (std::size_t h = 0; h < s.h; ++h)
+                for (std::size_t w = 0; w < s.w; ++w) {
+                    double sum = 0.0;
+                    for (long dc = -half; dc <= half; ++dc) {
+                        const long cc = long(c) + dc;
+                        if (cc < 0 || cc >= long(s.c))
+                            continue;
+                        const double v = x.at(n, std::size_t(cc), h, w);
+                        sum += v * v;
+                    }
+                    const float sc = k + alpha / float(size) * float(sum);
+                    want.at(n, c, h, w) =
+                        x.at(n, c, h, w) * std::pow(sc, -beta);
+                }
+
+    Tensor dy(x.shape());
+    dy.fillGaussian(rng, 0, 1);
+    Tensor dx_ref;
+    for (std::size_t lanes : {1, 2, 4}) {
+        setThreadCount(lanes);
+        LrnLayer lrn("lrn", size, alpha, beta, k);
+        const Tensor y = lrn.forward(x, true);
+        ASSERT_EQ(y.size(), want.size());
+        EXPECT_EQ(std::memcmp(y.data(), want.data(),
+                              y.size() * sizeof(float)),
+                  0)
+            << "lanes " << lanes;
+        // backward reads the cached scales, so equal gradients mean
+        // the parallel forward cached identical scales too.
+        const Tensor dx = lrn.backward(dy);
+        if (lanes == 1)
+            dx_ref = dx;
+        EXPECT_EQ(std::memcmp(dx.data(), dx_ref.data(),
+                              dx.size() * sizeof(float)),
+                  0)
+            << "lanes " << lanes;
+    }
+    setThreadCount(0);
 }
 
 TEST(LrnLayer, GradientMatchesNumeric)

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -124,6 +126,79 @@ TEST(ParallelFor, ExceptionsPropagateToCaller)
         sum.fetch_add(int(e - b));
     });
     EXPECT_EQ(sum.load(), 8);
+}
+
+TEST(ParallelFor, SmallWorkRunsInlineOnCaller)
+{
+    ThreadCountGuard guard(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t chunks = 0;
+    parallelFor(
+        64,
+        [&](std::size_t b, std::size_t e, std::size_t tid) {
+            // Under one lane's worth: one [0, n) chunk on the caller.
+            EXPECT_EQ(b, 0u);
+            EXPECT_EQ(e, 64u);
+            EXPECT_EQ(tid, currentLane());
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            ++chunks;
+        },
+        0.5 * kLaneWork);
+    EXPECT_EQ(chunks, 1u);
+}
+
+TEST(ParallelFor, WorkCapsLanesWithStaticPartition)
+{
+    ThreadCountGuard guard(4);
+    auto partition = [](std::size_t n, double work) {
+        std::vector<std::pair<std::size_t, std::size_t>> chunks(
+            threadCount(), {n + 1, n + 1});
+        parallelFor(
+            n,
+            [&](std::size_t b, std::size_t e, std::size_t tid) {
+                chunks[tid] = {b, e};
+            },
+            work);
+        return chunks;
+    };
+    // 2.5 lanes of work: the static formula over 2 lanes, lanes 2
+    // and 3 receive nothing.
+    const std::size_t n = 10;
+    const auto two = partition(n, 2.5 * kLaneWork);
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(two[t].first, n * t / 2);
+        EXPECT_EQ(two[t].second, n * (t + 1) / 2);
+    }
+    EXPECT_EQ(two[2].first, n + 1);
+    EXPECT_EQ(two[3].first, n + 1);
+    // Ample work is capped at n lanes: one index each.
+    const auto three = partition(3, 1e6 * kLaneWork);
+    for (std::size_t t = 0; t < 3; ++t) {
+        EXPECT_EQ(three[t].first, t);
+        EXPECT_EQ(three[t].second, t + 1);
+    }
+    EXPECT_EQ(three[3].first, 4u);
+}
+
+TEST(ParallelFor, IdleWorkersPark)
+{
+    ThreadCountGuard guard(4);
+    std::atomic<int> sum{0};
+    parallelFor(4, [&](std::size_t b, std::size_t e, std::size_t) {
+        sum.fetch_add(int(e - b));
+    });
+    ASSERT_EQ(sum.load(), 4);
+    // The workers spin a bounded moment after the region, then park:
+    // a quiet 200 ms must cost the process far less than a core.
+    auto cpuNs = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+        return double(ts.tv_sec) * 1e9 + double(ts.tv_nsec);
+    };
+    const double before = cpuNs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double burned_ms = (cpuNs() - before) / 1e6;
+    EXPECT_LT(burned_ms, 40.0) << "idle lanes kept spinning";
 }
 
 TEST(ParallelFor, SetThreadCountOverridesAndRestores)

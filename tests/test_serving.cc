@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "nn/model_zoo.hh"
 #include "pcnn/runtime/serving_sim.hh"
 
@@ -173,6 +176,39 @@ TEST(Histogram, SummaryMatchesHandComputation)
     const LatencySummary empty = summarizeLatencies({});
     EXPECT_EQ(empty.count, 0u);
     EXPECT_EQ(empty.p999S, 0.0);
+}
+
+TEST(Histogram, LatencyHistogramMatchesExactSummaryWithinBucketError)
+{
+    LatencyHistogram h;
+    EXPECT_EQ(h.summary().count, 0u);
+    EXPECT_EQ(h.summary().p999S, 0.0);
+
+    // Log-spread latencies from 20 ns to ~2 s, plus a repeated value.
+    std::vector<double> samples;
+    double v = 2e-8;
+    for (int i = 0; i < 3000; ++i) {
+        samples.push_back(v);
+        v *= 1.0061;
+    }
+    samples.insert(samples.end(), 500, 4.2e-4);
+    for (double x : samples)
+        h.record(x);
+
+    const LatencySummary got = h.summary();
+    const LatencySummary want = summarizeLatencies(samples);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_NEAR(got.meanS, want.meanS, want.meanS * 1e-12);
+    EXPECT_EQ(got.minS, want.minS);
+    EXPECT_EQ(got.maxS, want.maxS);
+    // Each percentile lies within half a bucket (1/128) of the exact
+    // one, plus the nanosecond rounding of each sample.
+    for (const auto &[g, w] : {std::pair{got.p50S, want.p50S},
+                               {got.p95S, want.p95S},
+                               {got.p99S, want.p99S},
+                               {got.p999S, want.p999S}})
+        EXPECT_NEAR(g, w, w / 128.0 + 1e-9);
+    EXPECT_LE(got.p999S, got.maxS);
 }
 
 TEST(Histogram, BatchSizeHistogramCounts)
