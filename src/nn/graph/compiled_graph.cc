@@ -24,23 +24,6 @@
 
 namespace pcnn {
 
-CompiledGraph::~CompiledGraph()
-{
-    // Detach the pool so layer forwards never chase a dangling
-    // pointer; layers fall back to their own scratch. (Network
-    // resets the old graph before compiling a replacement, so this
-    // cannot clobber a newer graph's installation.)
-    for (Layer *l : flat)
-        if (auto *conv = dynamic_cast<ConvLayer *>(l))
-            conv->setScratchPool(nullptr);
-}
-
-std::size_t
-CompiledGraph::scratchPoolBytes() const
-{
-    return pool.capacityBytes();
-}
-
 std::unique_ptr<CompiledGraph>
 CompiledGraph::materialize(Network &net, GraphSchedule schedule,
                            std::vector<Layer *> layer_table)
@@ -123,13 +106,6 @@ CompiledGraph::materialize(Network &net, GraphSchedule schedule,
     g->directOut = writers == 1 && !w0->tiled &&
                    w0->exec != GraphOpExec::CopyWindow &&
                    w0->chanOff == 0 && w0->chanCount == ov.c;
-
-    // Install the shared scratch pool on every conv; it only takes
-    // effect while a run is active, so the legacy path and training
-    // keep per-layer scratch.
-    for (Layer *l : g->flat)
-        if (auto *conv = dynamic_cast<ConvLayer *>(l))
-            conv->setScratchPool(&g->pool);
 
     g->foldSnap = reluFoldingEnabled();
     g->quantSnap = graphQuantFingerprint(net);
@@ -229,15 +205,6 @@ CompiledGraph::run(const Tensor &x, Tensor &out)
     PCNN_CHECK(n >= 1 && n <= sched.batch,
                "compiled graph capacity is batch ", sched.batch,
                " but the input has n=", n);
-
-    // Scratch-pool activation is scoped to the run so training and
-    // legacy forwards on the same layers keep their own buffers.
-    struct PoolGuard
-    {
-        ConvScratchPool &p;
-        ~PoolGuard() { p.active = false; }
-    } guard{pool};
-    pool.active = true;
 
     const GraphValue &ov = sched.values[std::size_t(outputValue)];
     if (!directOut) {

@@ -3,10 +3,9 @@
  * Executable form of a GraphSchedule (DESIGN.md §5j).
  *
  * CompiledGraph owns the one arena allocation a schedule's values
- * live in, the shared per-lane conv scratch pool (max across layers
- * instead of the legacy sum), and the non-owning Tensor views that
- * let unchanged layer forwardInto() code write straight into arena
- * slices. Network::forwardInto dispatches through it when the
+ * live in and the non-owning Tensor views that let unchanged layer
+ * forwardInto() code write straight into arena slices. Conv scratch
+ * is per thread on both paths (DESIGN.md §5b). Network::forwardInto dispatches through it when the
  * PCNN_GRAPH toggle is on; results are bitwise identical to the
  * legacy chain because the same layer methods run in the same order
  * on the same bytes.
@@ -20,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/conv_layer.hh"
 #include "nn/graph/graph_ir.hh"
 #include "tensor/tensor.hh"
 
@@ -63,9 +61,7 @@ class CompiledGraph
   public:
     /**
      * Compile `net` for batches up to `batch`. Performs the single
-     * arena allocation; the per-lane conv scratch pool is installed
-     * on every conv layer but its buffers grow lazily on first use,
-     * exactly like the legacy per-layer scratch.
+     * arena allocation.
      */
     static std::unique_ptr<CompiledGraph> compile(Network &net,
                                                   std::size_t batch);
@@ -79,8 +75,6 @@ class CompiledGraph
      */
     static std::unique_ptr<CompiledGraph> adopt(Network &net,
                                                 const GraphSchedule &s);
-
-    ~CompiledGraph();
 
     CompiledGraph(const CompiledGraph &) = delete;
     CompiledGraph &operator=(const CompiledGraph &) = delete;
@@ -117,9 +111,6 @@ class CompiledGraph
         return arena.capacity() * sizeof(float);
     }
 
-    /** Current bytes of the shared per-lane conv scratch pool. */
-    std::size_t scratchPoolBytes() const;
-
   private:
     CompiledGraph() = default;
 
@@ -134,7 +125,6 @@ class CompiledGraph
 
     GraphSchedule sched;
     std::vector<Layer *> flat; ///< borrowed from the Network
-    ConvScratchPool pool;      ///< shared conv scratch (max, not sum)
     std::vector<float> arena;  ///< the one arena allocation
     std::vector<Tensor> valBind; ///< per-value view headers
     Tensor itemIn;  ///< per-item input window view

@@ -204,8 +204,9 @@ class Layer
      * Bytes of grow-only per-replica scratch this layer currently
      * holds for inference forwards (not parameters, not caller
      * activations). Feeds Network::steadyMemoryBytes(), the footprint
-     * the arena planner is benchmarked against; layers whose scratch
-     * lives in a shared pool (DESIGN.md §5j) report 0 while pooled.
+     * the arena planner is benchmarked against. Scratch owned by the
+     * calling thread rather than the layer (conv jobs) is not
+     * counted.
      */
     virtual std::size_t steadyStateScratchBytes() const { return 0; }
 };

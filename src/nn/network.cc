@@ -37,9 +37,8 @@ Network::ensureCompiledGraph(std::size_t batch)
     // happens on first use or a config flip, never in steady state.
     const std::size_t cap =
         std::max(batch, graph ? graph->batchCapacity() : 0);
-    // Destroy the stale graph first: its destructor detaches the
-    // conv scratch pool, which must not run after the new graph has
-    // installed its own.
+    // Free the stale arena before allocating its replacement, so the
+    // two never coexist.
     graph.reset();
     graph = CompiledGraph::compile(*this, cap);
     ++graphCompiles;
@@ -48,7 +47,7 @@ Network::ensureCompiledGraph(std::size_t batch)
 void
 Network::adoptGraphSchedule(const GraphSchedule &s)
 {
-    graph.reset(); // see ensureCompiledGraph on destruction order
+    graph.reset(); // see ensureCompiledGraph on the arena's lifetime
     graph = CompiledGraph::adopt(*this, s);
     ++graphCompiles;
 }
@@ -67,7 +66,7 @@ Network::steadyMemoryBytes() const
     for (const auto &l : layers)
         total += l->steadyStateScratchBytes();
     if (graph)
-        total += graph->arenaBytes() + graph->scratchPoolBytes();
+        total += graph->arenaBytes();
     return total;
 }
 

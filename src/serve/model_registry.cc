@@ -87,15 +87,15 @@ Model::makeReplica(std::size_t lanes)
     // One arena allocation per replica, zero recompiles: the shared
     // schedule was built once at registration, each replica only
     // validates and adopts it. The lane cap matches the worker that
-    // will own the replica so the shared conv scratch pool and the
-    // warm-up below size for exactly the lanes serving will use.
+    // will own the replica so the warm-up below sizes for exactly
+    // the lanes serving will use.
     ScopedLaneLimit limit(lanes);
     if (sched)
         replica.adoptGraphSchedule(*sched);
 
     // Warm the full steady-state envelope before the replica is
     // published: a maxBatch forward grows every grow-only buffer
-    // (staging, scratch pool, legacy ping-pong) to its ceiling, so
+    // (staging, conv scratch, legacy ping-pong) to its ceiling, so
     // every smaller serving batch afterwards is allocation-free, and
     // it materializes the shared weight panels on the first replica
     // (frozen weights: later replicas find them and never repack).
