@@ -127,13 +127,6 @@ ConvLayer::setAlgo(ConvAlgo a)
     algoSel = a;
 }
 
-void
-ConvLayer::clearAlgo()
-{
-    algoPinned = false;
-    algoSel = ConvAlgo::Im2col;
-}
-
 ConvAlgo
 ConvLayer::plannedAlgo() const
 {

@@ -68,9 +68,6 @@ class ConvLayer : public Layer
      */
     void setAlgo(ConvAlgo a);
 
-    /** Remove a pinned algorithm; dispatch returns to the cost model. */
-    void clearAlgo();
-
     /** Pinned algorithm, or the cost-model choice when unpinned. */
     ConvAlgo plannedAlgo() const;
 

@@ -159,10 +159,4 @@ setGraphEnabled(bool on)
     graphSlot() = on;
 }
 
-void
-clearGraphEnabled()
-{
-    graphSlot() = graphEnvSeed();
-}
-
 } // namespace pcnn

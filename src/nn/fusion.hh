@@ -79,9 +79,6 @@ bool graphEnabled();
 /** Enable/disable the compiled-graph path (overrides PCNN_GRAPH). */
 void setGraphEnabled(bool on);
 
-/** Restore the PCNN_GRAPH environment default. */
-void clearGraphEnabled();
-
 } // namespace pcnn
 
 #endif // PCNN_NN_FUSION_HH

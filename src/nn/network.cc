@@ -52,12 +52,6 @@ Network::adoptGraphSchedule(const GraphSchedule &s)
     ++graphCompiles;
 }
 
-void
-Network::clearCompiledGraph()
-{
-    graph.reset();
-}
-
 std::size_t
 Network::steadyMemoryBytes() const
 {

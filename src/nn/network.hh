@@ -177,9 +177,6 @@ class Network
      */
     void adoptGraphSchedule(const GraphSchedule &s);
 
-    /** Drop the compiled graph; next graph forward recompiles. */
-    void clearCompiledGraph();
-
     /** The active compiled graph, or nullptr. */
     const CompiledGraph *compiledGraph() const { return graph.get(); }
 

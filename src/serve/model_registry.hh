@@ -97,9 +97,12 @@ std::string registerStatusName(RegisterStatus status);
 /**
  * One registered model: frozen prototype, shared schedule, service
  * model, arena accounting. Replica cloning (makeReplica) must be
- * serialized by the caller — the engine constructor and the single
- * scaler thread are the only cloners — but the produced replicas and
- * the estimator are safe for concurrent use.
+ * serialized per model by the caller — the engine constructor and
+ * the single scaler thread are the only cloners — but the produced
+ * replicas and the estimator are safe for concurrent use. The
+ * constructor clones different models concurrently, so registered
+ * models must not share weights with each other (each registration
+ * owns its prototype's weights and panels).
  */
 class Model
 {
@@ -166,7 +169,9 @@ class Model
      * forward at maxBatch under `lanes` intra-op lanes so every
      * grow-only buffer reaches its steady-state envelope before the
      * replica serves traffic. The measured warm-up time seeds the
-     * estimator. Not thread-safe against itself (see class comment).
+     * estimator (a warm-up nested in a parallel region runs at one
+     * lane, whatever `lanes` says). Not thread-safe against itself
+     * for one model (see class comment).
      */
     Network makeReplica(std::size_t lanes);
 

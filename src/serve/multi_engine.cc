@@ -28,10 +28,7 @@ MultiTenantEngine::MultiTenantEngine(ModelRegistry &registry,
     : cfg(config), models(registry.size()), reg(registry),
       fabric(registry, cfg.fabric, meter)
 {
-    PCNN_CHECK(cfg.workers >= 1, "engine needs at least one worker");
     PCNN_CHECK(models >= 1, "engine needs a registered model");
-    PCNN_CHECK(cfg.initialReplicas >= 1,
-               "engine needs at least one replica per model");
 
     // Pin the per-host tuned kernel tier/blocking (when a valid tune
     // cache exists) before the first replica warm-up runs a GEMM and
@@ -43,6 +40,12 @@ MultiTenantEngine::MultiTenantEngine(ModelRegistry &registry,
     // configuration those results were computed under.
     (void)applyHostTuneCacheOnce();
 
+    // Layout (DESIGN.md §5f): two lanes per worker and one replica
+    // of each model per worker unless the config says otherwise.
+    if (cfg.workers == 0)
+        cfg.workers = std::max<std::size_t>(1, threadCount() / 2);
+    if (cfg.initialReplicas == 0)
+        cfg.initialReplicas = cfg.workers;
     lanes = cfg.lanesPerWorker != 0
                 ? cfg.lanesPerWorker
                 : std::max<std::size_t>(1, threadCount() / cfg.workers);
@@ -51,6 +54,27 @@ MultiTenantEngine::MultiTenantEngine(ModelRegistry &registry,
     for (std::size_t m = 0; m < models; ++m)
         pools.push_back(std::make_unique<Pool>());
 
+    // Initial pools, built before any worker exists. Warm-ups
+    // dominate engine start, so models build in parallel, each
+    // model's replicas in sequence on one lane (makeReplica's
+    // per-model serialization contract). A model's first warm-up
+    // materializes its shared weight panels; the parallelFor join,
+    // then thread creation, publish them to the workers. Forwards
+    // nested in the region run inline, so each warm-up runs, and
+    // seeds its model's estimator, at one lane; the workers' own
+    // batch times replace that seed as they serve.
+    std::vector<std::vector<Network>> built(models);
+    parallelFor(models, [&](std::size_t m0, std::size_t m1,
+                            std::size_t) {
+        for (std::size_t m = m0; m < m1; ++m) {
+            Model &model = reg.model(m);
+            const std::size_t want =
+                std::min(cfg.initialReplicas, model.maxReplicas());
+            for (std::size_t i = 0; i < want; ++i)
+                built[m].push_back(model.makeReplica(lanes));
+        }
+    });
+
     meter.start();
     {
         MutexLock lk(scaleMu);
@@ -58,16 +82,9 @@ MultiTenantEngine::MultiTenantEngine(ModelRegistry &registry,
         policies.reserve(models);
         for (std::size_t m = 0; m < models; ++m)
             policies.emplace_back(cfg.autoscaler);
-        // Initial pools, built before any worker exists: the first
-        // replica of each model materializes the shared weight
-        // panels during its warm-up; panels then reach the workers
-        // through the thread-creation happens-before edge.
-        for (std::size_t m = 0; m < models; ++m) {
-            const std::size_t want = std::min(
-                cfg.initialReplicas, reg.model(m).maxReplicas());
-            for (std::size_t i = 0; i < want; ++i)
-                growOne(m);
-        }
+        for (std::size_t m = 0; m < models; ++m)
+            for (Network &replica : built[m])
+                addReplica(m, std::move(replica));
     }
 
     threads.reserve(cfg.workers);
@@ -142,8 +159,10 @@ MultiTenantEngine::stop()
 std::size_t
 MultiTenantEngine::replicaCount(std::size_t model) const
 {
+    if (model >= models)
+        return 0;
     MutexLock lk(scaleMu);
-    return totals.at(model);
+    return totals[model];
 }
 
 std::size_t
@@ -159,7 +178,8 @@ MultiTenantEngine::liveArenaBytes() const
 std::size_t
 MultiTenantEngine::scaleTo(std::size_t model, std::size_t target)
 {
-    PCNN_CHECK(model < models, "scaleTo: model out of range");
+    if (model >= models)
+        return 0;
     const std::size_t cap = reg.model(model).maxReplicas();
     const std::size_t want =
         std::min(cap, std::max<std::size_t>(1, target));
@@ -175,10 +195,16 @@ void
 MultiTenantEngine::growOne(std::size_t model)
 {
     // Replica creation is slow (clone + adopt + maxBatch warm-up)
-    // and runs under scaleMu: the scaler thread and scaleTo are the
-    // only cloners, satisfying Model::makeReplica's serialization
-    // contract without touching the worker-facing pool lock.
-    Network replica = reg.model(model).makeReplica(lanes);
+    // and runs under scaleMu: once the workers run, the scaler
+    // thread and scaleTo are the only cloners, satisfying
+    // Model::makeReplica's serialization contract without touching
+    // the worker-facing pool lock.
+    addReplica(model, reg.model(model).makeReplica(lanes));
+}
+
+void
+MultiTenantEngine::addReplica(std::size_t model, Network replica)
+{
     Pool &pool = *pools[model];
     {
         MutexLock lk(pool.mu);

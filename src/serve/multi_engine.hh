@@ -38,8 +38,16 @@ namespace pcnn {
 /** Engine sizing and policy. */
 struct MultiEngineConfig
 {
-    std::size_t workers = 1;         ///< shared worker threads
-    std::size_t initialReplicas = 1; ///< starting pool size per model
+    /// shared worker threads; 0 = max(1, threadCount() / 2), i.e.
+    /// 1 x 1 at one lane, 1 x 2 at two and 2 x 2 at four (workers x
+    /// lanes): a batch-1 forward of the mini nets gains little past
+    /// two lanes, so the rest of the host serves other requests
+    /// (DESIGN.md §5f)
+    std::size_t workers = 0;
+    /// starting pool size per model; 0 = one replica per worker,
+    /// min(workers, the model's maxReplicas), so a hot model can run
+    /// on every worker at once
+    std::size_t initialReplicas = 0;
     /// intra-op lanes per worker; 0 = partition threadCount() evenly
     std::size_t lanesPerWorker = 0;
     FabricConfig fabric;             ///< queue + admission policy
@@ -94,7 +102,7 @@ class MultiTenantEngine
      */
     void stop();
 
-    /** Shared worker thread count. */
+    /** Shared worker thread count (derived when configured as 0). */
     std::size_t workerCount() const { return cfg.workers; }
 
     /** Intra-op lanes each worker runs with. */
@@ -103,7 +111,10 @@ class MultiTenantEngine
     /** Registered model count the engine serves. */
     std::size_t modelCount() const { return models; }
 
-    /** Current replica pool size of one model. */
+    /**
+     * Current replica pool size of one model; 0 for an unknown model
+     * (a served model always has at least one replica).
+     */
     std::size_t replicaCount(std::size_t model) const;
 
     /**
@@ -111,7 +122,8 @@ class MultiTenantEngine
      * to [1, the model's maxReplicas]); the deterministic test hook
      * behind the same plumbing the scaler thread uses. Shrinking
      * stops early when no more replicas are idle; returns the pool
-     * size actually reached.
+     * size actually reached, or 0 without touching any pool for an
+     * unknown model.
      */
     std::size_t scaleTo(std::size_t model, std::size_t target);
 
@@ -143,8 +155,12 @@ class MultiTenantEngine
     /** Scaler loop: tick every autoscaleTickS until stop. */
     void scalerLoop();
 
-    /** Add one replica to a pool. */
+    /** Clone, warm and publish one replica of a model. */
     void growOne(std::size_t model) PCNN_REQUIRES(scaleMu);
+
+    /** Publish a warmed replica to its model's pool. */
+    void addReplica(std::size_t model, Network replica)
+        PCNN_REQUIRES(scaleMu);
 
     /** Retire one idle replica; false when none is idle. */
     bool shrinkOne(std::size_t model) PCNN_REQUIRES(scaleMu);

@@ -6,14 +6,16 @@
  * autoscaler hysteresis, and the MultiTenantEngine end to end —
  * per-model bitwise logits across worker and replica counts,
  * shed-before-interactive, zero steady-state repacks and allocations
- * across a scale-up, metrics, lane partitioning, and rejection of
- * malformed submissions. Also the shared-weight contracts serving
+ * across a scale-up, metrics, lane partitioning, the default
+ * layout and its parallel replica build, and rejection of malformed
+ * submissions and unknown model indices. Also the shared-weight contracts serving
  * relies on (DESIGN.md §5f): batch-row purity and the freeze that
  * cloneSharingWeights puts on both sides.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -1038,6 +1040,134 @@ TEST(MultiTenant, SubmitRejectsMalformedRequestsWithoutQueueing)
     EXPECT_EQ(std::memcmp(r.logits.data(), want.data(),
                           want.size() * sizeof(float)),
               0);
+}
+
+TEST(MultiTenant, ScaleToAndReplicaCountRejectUnknownModel)
+{
+    Rng rng(73);
+    ModelRegistry reg;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+                                modelConfig("alex", 1, 2)),
+              RegisterStatus::Registered);
+    MultiTenantEngine engine(reg, engineConfig(1));
+    const std::size_t bad = engine.modelCount();
+
+    // An unknown model has no pool: both calls answer 0, which no
+    // served model can report, and leave every pool alone.
+    EXPECT_EQ(engine.replicaCount(bad), 0u);
+    EXPECT_EQ(engine.scaleTo(bad, 2), 0u);
+    EXPECT_EQ(engine.replicaCount(bad + 100), 0u);
+    EXPECT_EQ(engine.scaleTo(bad + 100, 0), 0u);
+    EXPECT_EQ(engine.replicaCount(0), 1u);
+    EXPECT_EQ(engine.metrics().replicaTrajectory.size(), 1u);
+
+    // The known model still scales.
+    EXPECT_EQ(engine.scaleTo(0, 2), 2u);
+    EXPECT_EQ(engine.replicaCount(0), 2u);
+}
+
+TEST(MultiTenant, DefaultLayoutFollowsThreadCount)
+{
+    Rng rng(79);
+    ModelRegistry reg;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+                                modelConfig("alex", 1, 4)),
+              RegisterStatus::Registered);
+    ASSERT_EQ(reg.registerModel(makeMiniVgg(rng),
+                                modelConfig("vgg", 1, 1)),
+              RegisterStatus::Registered);
+
+    struct Layout
+    {
+        std::size_t threads, workers, lanes;
+    };
+    for (const Layout &want :
+         {Layout{1, 1, 1}, Layout{2, 1, 2}, Layout{4, 2, 2}}) {
+        setThreadCount(want.threads);
+        {
+            MultiTenantEngine engine(reg, MultiEngineConfig{});
+            EXPECT_EQ(engine.workerCount(), want.workers)
+                << want.threads << " threads";
+            EXPECT_EQ(engine.lanesPerWorker(), want.lanes)
+                << want.threads << " threads";
+            // One replica per worker, up to each model's ceiling.
+            EXPECT_EQ(engine.replicaCount(0), want.workers);
+            EXPECT_EQ(engine.replicaCount(1), 1u);
+        }
+        // Explicit values still win over the derived ones.
+        MultiEngineConfig cfg;
+        cfg.workers = 3;
+        cfg.initialReplicas = 1;
+        MultiTenantEngine engine(reg, cfg);
+        EXPECT_EQ(engine.workerCount(), 3u);
+        EXPECT_EQ(engine.replicaCount(0), 1u);
+    }
+    setThreadCount(0);
+}
+
+TEST(MultiTenant, ParallelInitialBuildKeepsZeroRepacks)
+{
+    Rng rng(83);
+    ModelRegistry reg;
+    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+                                modelConfig("alex", 1, 4)),
+              RegisterStatus::Registered);
+    ASSERT_EQ(reg.registerModel(makeMiniVgg(rng),
+                                modelConfig("vgg", 1, 4)),
+              RegisterStatus::Registered);
+    ASSERT_EQ(reg.registerModel(makeMiniInception(rng),
+                                modelConfig("incep", 1, 4)),
+              RegisterStatus::Registered);
+
+    Rng inputs(89);
+    std::vector<std::vector<Tensor>> xs(reg.size());
+    std::vector<std::vector<Tensor>> want(reg.size());
+    for (std::size_t m = 0; m < reg.size(); ++m) {
+        for (int i = 0; i < 6; ++i) {
+            xs[m].push_back(
+                randomInput(inputs, reg.model(m).inputShape()));
+            want[m].push_back(
+                reg.model(m).prototype().forward(xs[m].back(), false));
+        }
+    }
+
+    // The default layout builds every model's replicas concurrently
+    // (one replica per worker); serving through them must neither
+    // repack a panel nor move a bit.
+    MultiTenantEngine engine(reg, MultiEngineConfig{});
+    for (std::size_t m = 0; m < reg.size(); ++m)
+        EXPECT_EQ(engine.replicaCount(m),
+                  std::min<std::size_t>(4, engine.workerCount()));
+    const std::uint64_t packs = weightPackCount();
+    const std::uint64_t wino = winogradPackCount();
+
+    std::vector<std::vector<std::future<TenantResult>>> futs(reg.size());
+    for (int round = 0; round < 4; ++round) {
+        for (std::size_t m = 0; m < reg.size(); ++m) {
+            for (const Tensor &x : xs[m]) {
+                auto sub = engine.submit(m, TaskClass::Interactive, x);
+                ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+                futs[m].push_back(std::move(sub.result));
+            }
+        }
+    }
+    for (std::size_t m = 0; m < reg.size(); ++m) {
+        for (std::size_t i = 0; i < futs[m].size(); ++i) {
+            const Tensor &ref = want[m][i % want[m].size()];
+            const TenantResult r = futs[m][i].get();
+            ASSERT_FALSE(r.shed);
+            ASSERT_EQ(r.logits.size(), ref.size());
+            EXPECT_EQ(std::memcmp(r.logits.data(), ref.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << "model " << m << " request " << i;
+        }
+    }
+    EXPECT_EQ(weightPackCount(), packs)
+        << "serving repacked SGEMM panels";
+    EXPECT_EQ(winogradPackCount(), wino)
+        << "serving re-transformed winograd weights";
+    EXPECT_EQ(engine.metrics().steadyAllocs, 0u);
 }
 
 // ------------------------------------- shared-weight contracts
