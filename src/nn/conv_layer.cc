@@ -7,7 +7,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
+#include "nn/inference_defaults.hh"
 #include "tensor/winograd.hh"
 
 namespace pcnn {
@@ -49,6 +49,11 @@ ConvLayer::ConvLayer(ConvSpec spec, Rng &rng)
 
     computed = fullPositions();
     rebuildSampling();
+
+    const InferenceDefaults &d = inferenceDefaults();
+    quantOn = d.quantize;
+    if (d.convAlgo && spc.algoEligible(*d.convAlgo))
+        setAlgo(*d.convAlgo);
 }
 
 std::unique_ptr<Layer>
@@ -139,7 +144,7 @@ ConvLayer::effectiveQuantized(bool train) const
     // Training always runs fp32: backward needs exact activations,
     // and quantization is an inference-time approximation like
     // perforation.
-    return !train && (quantOn || quantizeForced());
+    return !train && quantOn;
 }
 
 ConvAlgo
@@ -153,9 +158,6 @@ ConvLayer::effectiveAlgo(bool train) const
     if (train || perforated())
         return is1x1Passthrough() ? ConvAlgo::Direct1x1
                                   : ConvAlgo::Im2col;
-    ConvAlgo forced;
-    if (forcedConvAlgo(forced) && spc.algoEligible(forced))
-        return forced;
     return plannedAlgo();
 }
 

@@ -64,7 +64,9 @@ class ConvLayer : public Layer
 
     /**
      * Pin the conv algorithm (normally from an offline plan's
-     * per-layer field); must be eligible for this geometry.
+     * per-layer field); must be eligible for this geometry. A
+     * PCNN_CONV_ALGO construction default is pinned the same way, so
+     * an explicit call replaces it.
      */
     void setAlgo(ConvAlgo a);
 
@@ -72,9 +74,8 @@ class ConvLayer : public Layer
     ConvAlgo plannedAlgo() const;
 
     /**
-     * The algorithm the next forward will actually run: the
-     * PCNN_CONV_ALGO force (where eligible) beats the pinned plan
-     * choice beats the cost model; training and perforated forwards
+     * The algorithm the next forward will actually run: the pinned
+     * choice, else the cost model's; training and perforated forwards
      * always take the exact im2col/1x1 route.
      */
     ConvAlgo effectiveAlgo(bool train) const;
@@ -124,8 +125,8 @@ class ConvLayer : public Layer
 
     /**
      * True when a forward with this `train` flag runs int8: enabled
-     * per layer (plan v3 / precision tuning) or forced process-wide
-     * by PCNN_QUANTIZE=1; never during training.
+     * on this layer (plan v3 / precision tuning, or the PCNN_QUANTIZE
+     * construction default); never during training.
      */
     bool effectiveQuantized(bool train) const;
 

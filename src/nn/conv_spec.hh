@@ -128,8 +128,9 @@ struct ConvSpec
 /**
  * CPU-calibrated cost model choosing the fastest eligible algorithm
  * for a layer shape (the plan-time default; an offline plan or the
- * PCNN_CONV_ALGO override can pin a different choice). Constants are
- * fit against the per-algorithm latency sweep in BENCH_pr4.json.
+ * PCNN_CONV_ALGO construction default can pin a different choice).
+ * Constants are fit against the per-algorithm latency sweep in
+ * BENCH_pr4.json.
  */
 ConvAlgo selectConvAlgo(const ConvSpec &spec);
 

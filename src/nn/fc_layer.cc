@@ -6,7 +6,7 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
+#include "nn/inference_defaults.hh"
 #include "tensor/tensor_ops.hh"
 
 namespace pcnn {
@@ -24,6 +24,7 @@ FcLayer::FcLayer(std::string name, std::size_t in_features,
     w->bias.grad.resize(w->bias.value.shape());
     w->weight.value.fillGaussian(rng, 0.0f,
                                  float(std::sqrt(2.0 / double(nIn))));
+    quantOn = inferenceDefaults().quantize;
 }
 
 std::unique_ptr<Layer>
@@ -85,7 +86,7 @@ bool
 FcLayer::effectiveQuantized(bool train) const
 {
     // Training always runs fp32 (backward needs exact activations).
-    return !train && (quantOn || quantizeForced());
+    return !train && quantOn;
 }
 
 void

@@ -66,8 +66,9 @@ class FcLayer : public Layer
     /** True when the int8 route is enabled on this layer. */
     bool quantizedEnabled() const { return quantOn; }
 
-    /** True when a forward with this `train` flag runs int8 (layer
-     * flag or PCNN_QUANTIZE=1; never during training). */
+    /** True when a forward with this `train` flag runs int8 (the
+     * layer flag, whose construction default is PCNN_QUANTIZE; never
+     * during training). */
     bool effectiveQuantized(bool train) const;
 
     /** Pin offline-calibrated input-activation quant params (from a

@@ -18,7 +18,6 @@
 
 #include "common/check.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/graph_internal.hh"
 #include "nn/network.hh"
 
@@ -107,7 +106,6 @@ CompiledGraph::materialize(Network &net, GraphSchedule schedule,
                    w0->exec != GraphOpExec::CopyWindow &&
                    w0->chanOff == 0 && w0->chanCount == ov.c;
 
-    g->foldSnap = reluFoldingEnabled();
     g->quantSnap = graphQuantFingerprint(net);
     return g;
 }

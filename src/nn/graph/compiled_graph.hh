@@ -5,10 +5,10 @@
  * CompiledGraph owns the one arena allocation a schedule's values
  * live in and the non-owning Tensor views that let unchanged layer
  * forwardInto() code write straight into arena slices. Conv scratch
- * is per thread on both paths (DESIGN.md §5b). Network::forwardInto dispatches through it when the
- * PCNN_GRAPH toggle is on; results are bitwise identical to the
- * legacy chain because the same layer methods run in the same order
- * on the same bytes.
+ * is per thread on both paths (DESIGN.md §5b). Network::forwardInto
+ * dispatches through it under the network's graphDispatch() setting;
+ * results are bitwise identical to the legacy chain because the same
+ * layer methods run in the same order on the same bytes.
  */
 
 #ifndef PCNN_NN_GRAPH_COMPILED_GRAPH_HH
@@ -35,9 +35,9 @@ std::vector<Layer *> flattenNetworkLayers(Network &net);
 
 /**
  * True when the next inference forward of any conv/fc layer in `net`
- * would take the int8 route (per-layer flag or the PCNN_QUANTIZE
- * force). Dynamic activation-quantization params are derived from
- * the whole input batch, which couples items together — the compiler
+ * would take the int8 route (the per-layer flag). Dynamic
+ * activation-quantization params are derived from the whole input
+ * batch, which couples items together — the compiler
  * disables item tiling under this fingerprint, and Network uses it
  * to detect a stale compiled graph.
  */
@@ -89,14 +89,12 @@ class CompiledGraph
 
     /**
      * True when this graph no longer matches the run conditions:
-     * a larger batch than compiled for, or a flipped fusion /
-     * quantization fingerprint (which change the op structure).
+     * a larger batch than compiled for, or a flipped quantization
+     * fingerprint (which changes the item tiling).
      */
-    bool staleFor(std::size_t batch, bool fold_relu,
-                  bool any_quant) const
+    bool staleFor(std::size_t batch, bool any_quant) const
     {
-        return batch > sched.batch || fold_relu != foldSnap ||
-               any_quant != quantSnap;
+        return batch > sched.batch || any_quant != quantSnap;
     }
 
     /** The schedule this executable realizes. */
@@ -133,7 +131,6 @@ class CompiledGraph
     /// output has one whole-channel batch-wide writer: it writes the
     /// caller's tensor directly, exactly like the legacy last layer
     bool directOut = false;
-    bool foldSnap = false;  ///< reluFoldingEnabled() at compile
     bool quantSnap = false; ///< graphQuantFingerprint() at compile
 };
 

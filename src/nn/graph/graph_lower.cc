@@ -13,10 +13,8 @@
  *                       consumers read the dropout's input directly.
  *  2. fuse-relu       — a ReLU whose sole producer opts into epilogue
  *                       fusion merges into that producer
- *                       (forwardFusedReluInto), subsuming the legacy
- *                       PCNN_FOLD_RELU peephole. Skipped when ReLU
- *                       folding is disabled, keeping A/B parity with
- *                       the unfused chain.
+ *                       (forwardFusedReluInto), the same fold the
+ *                       legacy chain's inference peephole makes.
  *  3. concat-elim     — a staged branch terminal with one producer
  *                       and one CopyWindow consumer is rewritten to
  *                       write its channel window of the concat value
@@ -41,7 +39,6 @@
 #include <vector>
 
 #include "common/check.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/graph/graph_internal.hh"
 #include "nn/inception_layer.hh"
@@ -303,8 +300,6 @@ flattenNetworkLayers(Network &net)
 bool
 graphQuantFingerprint(const Network &net)
 {
-    if (quantizeForced())
-        return true;
     for (const ConvLayer *c : net.convLayers())
         if (c->quantizedEnabled())
             return true;
@@ -383,8 +378,7 @@ lowerAndOptimize(Network &net, std::size_t batch)
 
     // Optimization passes (graphPassNames order).
     pruneDropout(s);
-    if (reluFoldingEnabled())
-        fuseRelu(s, flattenNetworkLayers(net));
+    fuseRelu(s, flattenNetworkLayers(net));
     concatElim(s);
     deadCodeSweep(s);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "nn/fusion.hh"
 #include "nn/pool_layer.hh"
 #include "nn/relu_layer.hh"
 
@@ -137,7 +136,6 @@ InceptionLayer::forwardInto(const Tensor &x, bool train, Tensor &y)
 
     std::size_t c_off = 0;
     const std::size_t plane = out.h * out.w;
-    const bool fold = !train && reluFoldingEnabled();
     for (auto &branch : branches) {
         // Feed the shared input to each branch head by reference —
         // no per-branch copy of x. Branch activations ping-pong
@@ -150,7 +148,7 @@ InceptionLayer::forwardInto(const Tensor &x, bool train, Tensor &y)
         for (std::size_t li = 0; li < branch.size(); ++li) {
             Layer *layer = branch[li].get();
             Tensor *dst = nxt;
-            if (fold && li + 1 < branch.size() &&
+            if (!train && li + 1 < branch.size() &&
                 layer->canFuseRelu() &&
                 branch[li + 1]->kind() == "relu") {
                 layer->forwardFusedReluInto(*cur, *dst);

@@ -5,14 +5,15 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/tags.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
+#include "nn/inference_defaults.hh"
 #include "tensor/tensor_ops.hh"
 
 namespace pcnn {
 
 Network::Network(std::string name, Shape input_shape)
-    : netName(std::move(name)), inShape(input_shape)
+    : netName(std::move(name)), inShape(input_shape),
+      graphOn(inferenceDefaults().graph)
 {
     inShape.n = 1;
 }
@@ -29,9 +30,8 @@ void
 Network::ensureCompiledGraph(std::size_t batch)
 {
     batch = std::max<std::size_t>(batch, 1);
-    const bool fold = reluFoldingEnabled();
     const bool quant = graphQuantFingerprint(*this);
-    if (graph && !graph->staleFor(batch, fold, quant))
+    if (graph && !graph->staleFor(batch, quant))
         return;
     // pcnn-analyze: allow(hot-path-alloc): grow-only recompile —
     // happens on first use or a config flip, never in steady state.
@@ -84,12 +84,12 @@ Network::forwardInto(const Tensor &x, bool train, Tensor &out)
     PCNN_CHECK(&out != &x, netName,
                ": forwardInto output must not alias the input");
     // Compiled-graph dispatch (DESIGN.md §5j): inference forwards
-    // run the static-arena schedule when the toggle is on. The
+    // run the static-arena schedule under graphDispatch(). The
     // schedule invokes the same layer forwards in the same order on
     // the same bytes, so logits are bitwise equal to the chain
     // below; training always takes the chain (backward needs the
     // layers' own caches and stochastic behaviour).
-    if (!train && graphEnabled()) {
+    if (!train && graphOn) {
         // pcnn-analyze: allow(hot-path-alloc): compile-on-first-use;
         // the graph is cached and steady-state forwards re-use it.
         ensureCompiledGraph(x.shape().n);
@@ -112,10 +112,9 @@ Network::forwardInto(const Tensor &x, bool train, Tensor &out)
     // layer's store pass and the ReLU layer itself is skipped.
     // Training-mode forwards never fold (the ReLU must cache its
     // mask for backward).
-    const bool fold = !train && reluFoldingEnabled();
     for (std::size_t i = 0; i < layers.size(); ++i) {
         Layer *l = layers[i].get();
-        const bool fuse = fold && i + 1 < layers.size() &&
+        const bool fuse = !train && i + 1 < layers.size() &&
                           l->canFuseRelu() &&
                           layers[i + 1]->kind() == "relu";
         const bool last = i + (fuse ? 2 : 1) >= layers.size();
@@ -194,12 +193,12 @@ Network::clearPerforation()
 }
 
 void
-Network::clearQuantization()
+Network::setQuantized(bool on)
 {
     for (ConvLayer *c : convs)
-        c->setQuantized(false);
+        c->setQuantized(on);
     for (FcLayer *f : fcs)
-        f->setQuantized(false);
+        f->setQuantized(on);
 }
 
 Network
@@ -208,6 +207,7 @@ Network::cloneSharingWeights()
     Network replica(netName, inShape);
     for (auto &l : layers)
         replica.addLayer(l->cloneShared());
+    replica.graphOn = graphOn;
     return replica;
 }
 

@@ -142,8 +142,19 @@ class Network
     /** Reset all conv layers to unperforated execution. */
     void clearPerforation();
 
-    /** Reset all conv/fc layers to the fp32 inference route. */
-    void clearQuantization();
+    /** Set every conv/fc layer's int8 inference route on or off. */
+    void setQuantized(bool on);
+
+    /**
+     * Route inference forwards through the compiled graph and its
+     * static arena (DESIGN.md §5j) instead of the layer chain. The
+     * construction default is PCNN_GRAPH; cloneSharingWeights copies
+     * the setting. Logits are bitwise identical either way.
+     */
+    void setGraphDispatch(bool on) { graphOn = on; }
+
+    /** True when inference forwards run the compiled graph. */
+    bool graphDispatch() const { return graphOn; }
 
     /**
      * Replicate the network for a concurrent serving worker
@@ -164,7 +175,7 @@ class Network
     /**
      * Compile (or recompile) the graph-dispatch schedule for batches
      * up to `batch` (DESIGN.md §5j). forwardInto does this lazily
-     * when graphEnabled(); calling it up front at the serving batch
+     * under graphDispatch(); calling it up front at the serving batch
      * ceiling moves the one arena allocation out of the serving hot
      * path. No-op when a compatible graph exists.
      */
@@ -207,9 +218,10 @@ class Network
     /// forwardInto ping-pong activation scratch; grow-only,
     /// per-network (replicas get their own via cloneSharingWeights)
     Tensor actA, actB;
-    /// compiled-graph executable (graphEnabled() dispatch); never
-    /// carried by cloneSharingWeights — each replica compiles its own
+    /// compiled-graph executable (graphDispatch()); never carried by
+    /// cloneSharingWeights — each replica compiles its own
     std::unique_ptr<CompiledGraph> graph;
+    bool graphOn; ///< graph dispatch; see setGraphDispatch
     std::size_t graphCompiles = 0; ///< arena allocations performed
 };
 

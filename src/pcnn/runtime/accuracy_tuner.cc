@@ -279,7 +279,7 @@ AccuracyTuner::tuneNetwork(Network &net, const CompiledPlan &plan,
                                    shrink_fn);
     net.clearPerforation();
     if (cfg.allowQuantize)
-        net.clearQuantization();
+        net.setQuantized(false);
     return table;
 }
 
@@ -330,7 +330,7 @@ AccuracyTuner::tuneNetworkByAccuracy(Network &net,
                                    shrink_fn);
     net.clearPerforation();
     if (cfg.allowQuantize)
-        net.clearQuantization();
+        net.setQuantized(false);
     return table;
 }
 

@@ -1,7 +1,6 @@
 #include "pcnn/runtime/executor.hh"
 
 #include "common/logging.hh"
-#include "nn/fusion.hh"
 #include "tensor/tensor_ops.hh"
 
 namespace pcnn {
@@ -25,7 +24,7 @@ Executor::Executor(Network &network, CompiledPlan plan, GpuSpec gpu,
     // inside adoption sees the network exactly as the plan configured
     // it. With the graph path off (or a pre-v4 plan) the network
     // compiles its own schedule lazily — or runs the legacy chain.
-    if (compiled.schedule && graphEnabled())
+    if (compiled.schedule && net.graphDispatch())
         net.adoptGraphSchedule(*compiled.schedule);
     // Before tuning: a single exact level that always calibrates fine.
     TuningEntry exact;

@@ -7,7 +7,6 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/model_zoo.hh"
 
@@ -145,7 +144,7 @@ ModelRegistry::registerModel(Network prototype, ModelConfig config)
         if (config.schedule->batch < config.maxBatch)
             return RegisterStatus::ScheduleBatchTooSmall;
         sched = *config.schedule;
-    } else if (graphEnabled()) {
+    } else if (prototype.graphDispatch()) {
         // Compile-on-register fallback: run the pass pipeline once;
         // pure data, no arena is allocated here.
         sched = buildGraphSchedule(prototype, config.maxBatch);

@@ -78,7 +78,8 @@ struct ModelConfig
     double perforationKeep = 1.0;
     /// serialized plan-v4 schedule to adopt instead of compiling at
     /// registration (satellite: offline compile once, register
-    /// everywhere); nullptr falls back to compile-on-register
+    /// everywhere); nullptr falls back to compile-on-register when
+    /// the prototype's graphDispatch() is on
     const GraphSchedule *schedule = nullptr;
 };
 
@@ -132,7 +133,8 @@ class Model
     /** The frozen prototype (perforation state visible to tests). */
     Network &prototype() { return proto; }
 
-    /** The shared schedule, or nullptr when the graph path is off. */
+    /** The shared schedule, or nullptr when the prototype was
+     * registered on the chain with no serialized schedule. */
     const GraphSchedule *schedule() const
     {
         return sched ? &*sched : nullptr;
@@ -140,8 +142,8 @@ class Model
 
     /**
      * Activation-arena bytes ONE replica allocates when it adopts
-     * the schedule (0 with the graph path off: the legacy ping-pong
-     * scratch grows lazily instead).
+     * the schedule (0 without one: the legacy ping-pong scratch
+     * grows lazily instead).
      */
     std::size_t replicaArenaBytes() const
     {

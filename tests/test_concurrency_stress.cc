@@ -2,8 +2,9 @@
  * @file
  * TSan-targeted stress tests of the concurrent substrate: nested and
  * concurrently-dispatched parallelFor, pool resizing under load,
- * concurrent SGEMM (thread-local packing scratch), and many-thread
- * KernelTuner candidate-cache lookups. The assertions double as
+ * concurrent SGEMM (thread-local packing scratch), many-thread
+ * KernelTuner candidate-cache lookups, and two networks with
+ * different inference settings forwarding at once. The assertions double as
  * functional checks, but the real payload is running this suite
  * under `ctest --preset tsan` with zero reports.
  */
@@ -11,12 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "gpu/gpu_spec.hh"
+#include "nn/graph/compiled_graph.hh"
+#include "nn/model_zoo.hh"
+#include "nn/network.hh"
 #include "pcnn/offline/kernel_tuner.hh"
 #include "tensor/tensor_ops.hh"
 
@@ -186,6 +192,57 @@ TEST(ConcurrencyStress, ConcurrentTunerCacheLookups)
     for (auto &th : threads)
         th.join();
     EXPECT_EQ(failures.load(), 0);
+}
+
+/**
+ * Inference settings belong to each network: one MiniInception runs
+ * the compiled graph at int8 while a second copy runs the chain at
+ * fp32, both at once, and each keeps its own single-threaded logits.
+ */
+TEST(ConcurrencyStress, PerNetworkInferenceOptions)
+{
+    setThreadCount(4);
+    Rng rng_a(21);
+    Network graphInt8 = makeMiniInception(rng_a);
+    graphInt8.setGraphDispatch(true);
+    graphInt8.setQuantized(true);
+    Rng rng_b(21);
+    Network chainFp32 = makeMiniInception(rng_b);
+    chainFp32.setGraphDispatch(false);
+    chainFp32.setQuantized(false);
+
+    const Shape &in = graphInt8.inputShape();
+    Tensor x(Shape{4, in.c, in.h, in.w});
+    Rng inputs(22);
+    x.fillUniform(inputs, -1.0f, 1.0f);
+    auto same = [](const Tensor &a, const Tensor &b) {
+        return a.shape() == b.shape() &&
+               std::memcmp(a.data(), b.data(),
+                           a.size() * sizeof(float)) == 0;
+    };
+
+    Tensor wantA, wantB;
+    graphInt8.forwardInto(x, false, wantA);
+    chainFp32.forwardInto(x, false, wantB);
+    ASSERT_FALSE(same(wantA, wantB)) << "int8 took the fp32 route";
+    EXPECT_NE(graphInt8.compiledGraph(), nullptr);
+    EXPECT_EQ(chainFp32.compiledGraph(), nullptr);
+
+    std::atomic<int> mismatches{0};
+    auto hammer = [&](Network &net, const Tensor &want) {
+        Tensor out;
+        for (int iter = 0; iter < 20; ++iter) {
+            net.forwardInto(x, false, out);
+            if (!same(out, want))
+                ++mismatches;
+        }
+    };
+    std::thread ta(hammer, std::ref(graphInt8), std::cref(wantA));
+    std::thread tb(hammer, std::ref(chainFp32), std::cref(wantB));
+    ta.join();
+    tb.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    setThreadCount(0);
 }
 
 } // namespace

@@ -7,17 +7,20 @@
  * is BITWISE identical to the unfolded pair, because the epilogue
  * clamps exactly the sums the separate ReLU pass would have seen.
  * Training-mode forwards never fold (the ReLU layer must cache its
- * mask for backward).
+ * mask for backward). The unfolded reference runs every layer's own
+ * forwardInto in order, inception branches included.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
 #include "nn/conv_layer.hh"
 #include "nn/fc_layer.hh"
-#include "nn/fusion.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
 #include "nn/relu_layer.hh"
@@ -27,16 +30,6 @@
 
 namespace pcnn {
 namespace {
-
-/** Restore process-wide fusion toggles whatever the test does. */
-struct ToggleGuard
-{
-    ~ToggleGuard()
-    {
-        setReluFolding(true);
-        clearForcedConvAlgo();
-    }
-};
 
 ConvSpec
 convSpec(std::size_t in_c, std::size_t out_c, std::size_t kernel,
@@ -65,6 +58,60 @@ randomInput(std::size_t n, std::size_t c, std::size_t h,
     return x;
 }
 
+/**
+ * One layer chain run layer by layer, never folding a ReLU. Inception
+ * modules are rebuilt from their branches, so their own training
+ * caches stay empty.
+ */
+template <typename Chain>
+Tensor
+unfoldedChain(const Chain &chain, const Tensor &x, bool train)
+{
+    Tensor cur = x;
+    for (const auto &layer : chain) {
+        Tensor next;
+        if (auto *inc = dynamic_cast<InceptionLayer *>(&*layer)) {
+            // The module's own forwardInto folds its branch chains;
+            // rebuild its concat from unfolded branches instead.
+            Tensor y(inc->outputShape(cur.shape()));
+            const std::size_t n = cur.shape().n;
+            std::size_t off = 0;
+            for (const InceptionLayer::Branch &b : inc->branchList()) {
+                const Tensor part = unfoldedChain(b, cur, train);
+                const std::size_t item = part.shape().itemSize();
+                for (std::size_t i = 0; i < n; ++i)
+                    std::copy(part.data() + i * item,
+                              part.data() + (i + 1) * item,
+                              y.data() + i * y.shape().itemSize() + off);
+                off += item;
+            }
+            next = std::move(y);
+        } else {
+            layer->forwardInto(cur, train, next);
+        }
+        cur = std::move(next);
+    }
+    return cur;
+}
+
+/** `net`'s logits with no ReLU folded anywhere. */
+Tensor
+unfoldedForward(Network &net, const Tensor &x, bool train = false)
+{
+    std::vector<Layer *> chain;
+    for (std::size_t i = 0; i < net.size(); ++i)
+        chain.push_back(&net.layer(i));
+    return unfoldedChain(chain, x, train);
+}
+
+/** Pin every conv layer, inception branches included, to `algo`. */
+void
+pinAll(Network &net, ConvAlgo algo)
+{
+    for (ConvLayer *c : net.convLayers())
+        c->setAlgo(algo);
+}
+
 void
 expectBitwise(const Tensor &want, const Tensor &got,
               const char *what)
@@ -79,8 +126,6 @@ void
 checkConvReluFold(ConvAlgo algo, std::size_t kernel,
                   std::size_t pad)
 {
-    ToggleGuard guard;
-    clearForcedConvAlgo();
     Rng rng(7 + std::size_t(algo));
     Network net("t", Shape{1, 4, 8, 8});
     net.add<ConvLayer>(convSpec(4, 6, kernel, 1, pad, 8), rng);
@@ -88,9 +133,7 @@ checkConvReluFold(ConvAlgo algo, std::size_t kernel,
     net.convLayers()[0]->setAlgo(algo);
 
     const Tensor x = randomInput(2, 4, 8, 8, 11);
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfoldedForward(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, convAlgoName(algo));
 
@@ -118,16 +161,13 @@ TEST(Fusion, ConvReluFoldBitwiseWinograd)
 
 TEST(Fusion, FcReluFoldBitwise)
 {
-    ToggleGuard guard;
     Rng rng(21);
     Network net("t", Shape{1, 3, 4, 4});
     net.add<FcLayer>("fc0", 3 * 4 * 4, 10, rng);
     net.add<ReluLayer>("relu0");
 
     const Tensor x = randomInput(3, 3, 4, 4, 22);
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfoldedForward(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, "fc");
     for (std::size_t i = 0; i < folded.size(); ++i)
@@ -141,15 +181,12 @@ TEST(Fusion, FcReluFoldBitwise)
  */
 TEST(Fusion, MiniVggFoldedVsUnfoldedBitwiseOnExactRoute)
 {
-    ToggleGuard guard;
-    setForcedConvAlgo(ConvAlgo::Im2col);
     Rng rng(31);
     Network net = makeMiniVgg(rng);
+    pinAll(net, ConvAlgo::Im2col);
     const Tensor x = randomInput(2, 1, 16, 16, 32);
 
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfoldedForward(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, "minivgg");
 }
@@ -157,15 +194,11 @@ TEST(Fusion, MiniVggFoldedVsUnfoldedBitwiseOnExactRoute)
 /** Same end-to-end check under cost-model dispatch: tolerance. */
 TEST(Fusion, MiniVggFoldedVsUnfoldedAutoDispatch)
 {
-    ToggleGuard guard;
-    clearForcedConvAlgo();
     Rng rng(35);
     Network net = makeMiniVgg(rng);
     const Tensor x = randomInput(2, 1, 16, 16, 36);
 
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfoldedForward(net, x);
     const Tensor folded = net.forward(x, false);
     // Same algorithm either way, so still bitwise in practice; hold
     // it to the winograd budget to keep the test pinned to the
@@ -176,15 +209,12 @@ TEST(Fusion, MiniVggFoldedVsUnfoldedAutoDispatch)
 /** Inception branch chains fold their conv+relu pairs too. */
 TEST(Fusion, MiniInceptionFoldedVsUnfoldedBitwise)
 {
-    ToggleGuard guard;
-    setForcedConvAlgo(ConvAlgo::Im2col);
     Rng rng(41);
     Network net = makeMiniInception(rng);
+    pinAll(net, ConvAlgo::Im2col);
     const Tensor x = randomInput(1, 1, 16, 16, 42);
 
-    setReluFolding(false);
-    const Tensor unfolded = net.forward(x, false);
-    setReluFolding(true);
+    const Tensor unfolded = unfoldedForward(net, x);
     const Tensor folded = net.forward(x, false);
     expectBitwise(unfolded, folded, "miniinception");
 }
@@ -192,31 +222,26 @@ TEST(Fusion, MiniInceptionFoldedVsUnfoldedBitwise)
 /**
  * Training-mode forwards never fold: the ReLU layers must see the
  * pre-activation values and cache their masks, so a full
- * forward/backward/step cycle works with folding enabled, and the
- * training forward is bitwise independent of the folding toggle.
+ * forward/backward cycle works, and the training forward is bitwise
+ * equal to the layer-by-layer chain.
  */
 TEST(Fusion, TrainingNeverFolds)
 {
-    ToggleGuard guard;
-    setForcedConvAlgo(ConvAlgo::Im2col);
-
     Rng rng_a(51);
     Network a = makeMiniVgg(rng_a);
+    pinAll(a, ConvAlgo::Im2col);
     Rng rng_b(51);
     Network b = makeMiniVgg(rng_b);
+    pinAll(b, ConvAlgo::Im2col);
     const Tensor x = randomInput(2, 1, 16, 16, 52);
 
-    setReluFolding(true);
     const Tensor la = a.forward(x, true);
-    setReluFolding(false);
-    const Tensor lb = b.forward(x, true);
+    const Tensor lb = unfoldedForward(b, x, true);
     expectBitwise(lb, la, "train forward");
 
     // Backward through the (not-folded) ReLU layers must work and
     // produce identical gradients on both networks.
-    setReluFolding(true);
     a.backward(la);
-    setReluFolding(false);
     b.backward(lb);
     auto pa = a.params();
     auto pb = b.params();
@@ -227,16 +252,6 @@ TEST(Fusion, TrainingNeverFolds)
             ASSERT_EQ(pa[i]->grad[j], pb[i]->grad[j])
                 << "param " << i << " j=" << j;
     }
-}
-
-/** The toggle itself: disabling folding is observable and clean. */
-TEST(Fusion, SetReluFoldingTogglesDispatch)
-{
-    ToggleGuard guard;
-    setReluFolding(false);
-    EXPECT_FALSE(reluFoldingEnabled());
-    setReluFolding(true);
-    EXPECT_TRUE(reluFoldingEnabled());
 }
 
 } // namespace

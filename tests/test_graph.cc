@@ -7,9 +7,9 @@
  *  1. Bitwise parity. The graph path invokes the same layer forwards
  *     in the same order on the same bytes as the legacy ping-pong
  *     chain, so logits must be bitwise identical for every model-zoo
- *     network, batch size, kernel tier (fp32 / forced int8 /
- *     perforated), and folding mode — at every PCNN_THREADS width
- *     (the .threads2 re-run covers that axis).
+ *     network, batch size and kernel tier (fp32 / int8 /
+ *     perforated) — at every PCNN_THREADS width (the .threads2
+ *     re-run covers that axis).
  *
  *  2. The static arena. One allocation per compiled graph, offsets
  *     respecting lifetimes, peak activation memory well below the
@@ -31,7 +31,6 @@
 #include "common/alloc_count.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/graph/graph_ir.hh"
 #include "nn/model_zoo.hh"
@@ -42,18 +41,6 @@
 
 namespace pcnn {
 namespace {
-
-/** Restores every process-wide toggle a test flips. */
-class ToggleGuard
-{
-  public:
-    ~ToggleGuard()
-    {
-        setGraphEnabled(false);
-        setReluFolding(true);
-        clearQuantizeForced();
-    }
-};
 
 bool
 bitwiseEqual(const Tensor &a, const Tensor &b)
@@ -91,13 +78,12 @@ zooInput(const Network &net, std::size_t n, unsigned seed)
 void
 expectGraphParity(Network &net, const Tensor &x)
 {
-    setGraphEnabled(false);
+    net.setGraphDispatch(false);
     Tensor legacy;
     net.forwardInto(x, false, legacy);
-    setGraphEnabled(true);
+    net.setGraphDispatch(true);
     Tensor graph;
     net.forwardInto(x, false, graph);
-    setGraphEnabled(false);
     EXPECT_TRUE(bitwiseEqual(legacy, graph))
         << net.name() << " n=" << x.shape().n
         << ": graph logits diverge from the legacy chain";
@@ -107,7 +93,6 @@ expectGraphParity(Network &net, const Tensor &x)
 
 TEST(GraphParity, MatchesLegacyAcrossZooAndBatches)
 {
-    ToggleGuard guard;
     for (int z = 0; z < kZooCount; ++z) {
         Network net = zooNet(z, 11u + unsigned(z));
         for (std::size_t n : {std::size_t(1), std::size_t(3),
@@ -118,23 +103,11 @@ TEST(GraphParity, MatchesLegacyAcrossZooAndBatches)
     }
 }
 
-TEST(GraphParity, MatchesLegacyWithFoldingDisabled)
-{
-    ToggleGuard guard;
-    setReluFolding(false);
-    for (int z = 0; z < kZooCount; ++z) {
-        Network net = zooNet(z, 23u + unsigned(z));
-        const Tensor x = zooInput(net, 5, 31u);
-        expectGraphParity(net, x);
-    }
-}
-
 TEST(GraphParity, MatchesLegacyUnderForcedInt8)
 {
-    ToggleGuard guard;
-    setQuantizeForced(true);
     for (int z = 0; z < kZooCount; ++z) {
         Network net = zooNet(z, 41u + unsigned(z));
+        net.setQuantized(true);
         const Tensor x = zooInput(net, 4, 43u);
         // Dynamic activation-quant params are batch-coupled, so the
         // compiler must fall back to batch-wide execution.
@@ -147,7 +120,6 @@ TEST(GraphParity, MatchesLegacyUnderForcedInt8)
 
 TEST(GraphParity, MatchesLegacyUnderPerforation)
 {
-    ToggleGuard guard;
     Network net = zooNet(0, 53u); // MiniVgg: conv-heavy
     for (ConvLayer *c : net.convLayers())
         c->setComputedPositions((c->fullPositions() + 1) / 2);
@@ -157,28 +129,24 @@ TEST(GraphParity, MatchesLegacyUnderPerforation)
 
 TEST(GraphParity, ToggleFlipsRecompileNotCorrupt)
 {
-    // Flipping fold/quant toggles between graph runs must recompile
+    // Flipping the int8 route between graph runs must recompile
     // (stale fingerprint) and keep matching the legacy chain.
-    ToggleGuard guard;
     Network net = zooNet(1, 61u); // MiniInception
     const Tensor x = zooInput(net, 4, 67u);
+    net.setQuantized(false);
     expectGraphParity(net, x);
     const std::size_t compiles = net.graphCompileCount();
-    setReluFolding(false);
+    net.setQuantized(true);
     expectGraphParity(net, x);
     EXPECT_GT(net.graphCompileCount(), compiles);
-    setReluFolding(true);
-    setQuantizeForced(true);
-    expectGraphParity(net, x);
-    clearQuantizeForced();
+    net.setQuantized(false);
     expectGraphParity(net, x);
 }
 
 TEST(GraphParity, RepeatRunsAreDeterministic)
 {
-    ToggleGuard guard;
-    setGraphEnabled(true);
     Network net = zooNet(2, 71u);
+    net.setGraphDispatch(true);
     const Tensor x = zooInput(net, 8, 73u);
     Tensor a, b;
     net.forwardInto(x, false, a);
@@ -209,17 +177,15 @@ TEST(GraphPasses, DropoutIsPruned)
 
 TEST(GraphPasses, FusedReluOpsAppearWhenFoldingOn)
 {
-    ToggleGuard guard;
     Network net = zooNet(0, 83u); // MiniVgg: conv+relu chains
-    setReluFolding(true);
     const GraphSchedule fused = buildGraphSchedule(net, 4);
-    setReluFolding(false);
-    const GraphSchedule plain = buildGraphSchedule(net, 4);
     std::size_t fusedOps = 0;
-    for (const GraphOp &op : fused.ops)
+    for (const GraphOp &op : fused.ops) {
         fusedOps += op.exec == GraphOpExec::LayerFusedRelu ? 1 : 0;
+        EXPECT_NE(op.layerKind, "relu")
+            << "every MiniVgg ReLU follows a fusable producer";
+    }
     EXPECT_GT(fusedOps, 0u);
-    EXPECT_LT(fused.ops.size(), plain.ops.size());
 }
 
 TEST(GraphPasses, InceptionConcatStagingIsEliminatedWhenTiled)
@@ -243,21 +209,19 @@ TEST(GraphArena, PeakMemoryDropsAtLeast30Percent)
     // belongs to the calling threads on both paths and is counted on
     // neither). Fresh networks per path so neither measurement
     // carries the other's buffers.
-    ToggleGuard guard;
     for (int z : {0, 1}) {
         Network legacy = zooNet(z, 97u + unsigned(z));
         Network graph = zooNet(z, 97u + unsigned(z));
+        legacy.setGraphDispatch(false);
+        graph.setGraphDispatch(true);
         const Tensor x = zooInput(legacy, 16, 101u);
         Tensor out;
-        setGraphEnabled(false);
         legacy.forwardInto(x, false, out);
         legacy.forwardInto(x, false, out);
         const std::size_t legacyBytes = legacy.steadyMemoryBytes();
-        setGraphEnabled(true);
         graph.forwardInto(x, false, out);
         graph.forwardInto(x, false, out);
         const std::size_t graphBytes = graph.steadyMemoryBytes();
-        setGraphEnabled(false);
         EXPECT_LE(double(graphBytes), 0.70 * double(legacyBytes))
             << legacy.name() << ": arena " << graphBytes
             << " bytes vs legacy " << legacyBytes;
@@ -282,10 +246,9 @@ TEST(GraphArena, SteadyStateRunsAreAllocationFree)
 {
     if (!allocCountingEnabled())
         GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
-    ToggleGuard guard;
-    setGraphEnabled(true);
     for (int z = 0; z < kZooCount; ++z) {
         Network net = zooNet(z, 107u + unsigned(z));
+        net.setGraphDispatch(true);
         const Tensor x16 = zooInput(net, 16, 109u);
         const Tensor x1 = zooInput(net, 1, 113u);
         Tensor out16, out1;
@@ -364,7 +327,6 @@ TEST(GraphPlanV4, RoundTripPreservesSchedule)
 
 TEST(GraphPlanV4, AdoptedScheduleMatchesLegacyBitwise)
 {
-    ToggleGuard guard;
     PlanFixture fx;
     const auto bytes = serializePlan(fx.plan);
     const auto loaded = deserializePlan(bytes);
@@ -374,13 +336,12 @@ TEST(GraphPlanV4, AdoptedScheduleMatchesLegacyBitwise)
     // the adopted schedule must reproduce the pinned legacy chain.
     fx.net.adoptGraphSchedule(*loaded->schedule);
     const Tensor x = zooInput(fx.net, fx.plan.batch, 131u);
-    setGraphEnabled(false);
+    fx.net.setGraphDispatch(false);
     Tensor legacy;
     fx.net.forwardInto(x, false, legacy);
-    setGraphEnabled(true);
+    fx.net.setGraphDispatch(true);
     Tensor graph;
     fx.net.forwardInto(x, false, graph);
-    setGraphEnabled(false);
     EXPECT_TRUE(bitwiseEqual(legacy, graph));
     // Adoption counts as the one compile; running must not add more.
     EXPECT_EQ(fx.net.graphCompileCount(), 1u);
@@ -504,14 +465,13 @@ TEST(GraphPlanV4, ScheduleBatchMismatchIsRejected)
 
 TEST(GraphServe, OneArenaPerReplicaAndBitwiseResults)
 {
-    ToggleGuard guard;
     Network proto = zooNet(1, 137u); // MiniInception
     const Tensor probe = zooInput(proto, 1, 139u);
-    setGraphEnabled(false);
+    proto.setGraphDispatch(false);
     Tensor want;
     proto.forwardInto(probe, false, want);
 
-    setGraphEnabled(true);
+    proto.setGraphDispatch(true);
     ModelRegistry reg;
     ModelConfig mc;
     mc.name = "incep";

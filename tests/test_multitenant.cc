@@ -27,7 +27,6 @@
 #include "common/alloc_count.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
-#include "nn/fusion.hh"
 #include "nn/graph/compiled_graph.hh"
 #include "nn/model_zoo.hh"
 #include "nn/serialize.hh"
@@ -74,6 +73,14 @@ modelConfig(const std::string &name, std::size_t max_batch = 4,
     mc.maxBatch = max_batch;
     mc.maxReplicas = max_replicas;
     return mc;
+}
+
+/** `net` with compiled-graph dispatch on, whatever PCNN_GRAPH says. */
+Network
+withGraph(Network net)
+{
+    net.setGraphDispatch(true);
+    return net;
 }
 
 TenantRequest
@@ -152,15 +159,15 @@ TEST(ModelRegistry, RejectsDuplicateNames)
 
 TEST(ModelRegistry, ArenaBudgetRejectsCleanly)
 {
-    if (!graphEnabled())
-        GTEST_SKIP() << "arena accounting needs the graph path";
+    // Arena accounting is a graph-path property: every model here
+    // runs the compiled graph.
     Rng rng(7);
     // First find one model's true reservation, then set a budget
     // that admits exactly one model.
     std::size_t oneModel = 0;
     {
         ModelRegistry probe;
-        ASSERT_EQ(probe.registerModel(makeMiniVgg(rng),
+        ASSERT_EQ(probe.registerModel(withGraph(makeMiniVgg(rng)),
                                       modelConfig("m")),
                   RegisterStatus::Registered);
         oneModel = probe.model(0).reservedArenaBytes();
@@ -174,11 +181,13 @@ TEST(ModelRegistry, ArenaBudgetRejectsCleanly)
     RegistryConfig rc;
     rc.arenaBudgetBytes = oneModel;
     ModelRegistry reg(rc);
-    ASSERT_EQ(reg.registerModel(makeMiniVgg(rng), modelConfig("a")),
+    ASSERT_EQ(reg.registerModel(withGraph(makeMiniVgg(rng)),
+                                modelConfig("a")),
               RegisterStatus::Registered);
     // A second identical model would double the reservation: a clean
     // rejection that leaves the registry unchanged.
-    EXPECT_EQ(reg.registerModel(makeMiniVgg(rng), modelConfig("b")),
+    EXPECT_EQ(reg.registerModel(withGraph(makeMiniVgg(rng)),
+                                modelConfig("b")),
               RegisterStatus::BudgetExceeded);
     EXPECT_EQ(reg.size(), 1u);
     EXPECT_EQ(reg.totalReservedArenaBytes(), oneModel);
@@ -220,8 +229,6 @@ TEST(ModelRegistry, MiniZooRegistersBothPerforationLevels)
 
 TEST(ModelRegistry, AdoptsSerializedPlanScheduleBitwise)
 {
-    if (!graphEnabled())
-        GTEST_SKIP() << "schedule adoption needs the graph path";
     Rng rng(31);
     Network net = makeMiniVgg(rng);
 
@@ -241,7 +248,8 @@ TEST(ModelRegistry, AdoptsSerializedPlanScheduleBitwise)
     mc.schedule = &*loaded->schedule;
     ModelRegistry reg;
     Rng rng2(31); // same seed: identical weights to `net`
-    ASSERT_EQ(reg.registerModel(makeMiniVgg(rng2), std::move(mc)),
+    ASSERT_EQ(reg.registerModel(withGraph(makeMiniVgg(rng2)),
+                                std::move(mc)),
               RegisterStatus::Registered);
     // The registered model adopted the deserialized schedule as-is.
     ASSERT_NE(reg.model(0).schedule(), nullptr);
@@ -805,10 +813,10 @@ TEST(MultiTenant, ArenaGaugesTrackPoolsAndRegistry)
 {
     Rng rng(37);
     ModelRegistry reg;
-    ASSERT_EQ(reg.registerModel(makeMiniVgg(rng),
+    ASSERT_EQ(reg.registerModel(withGraph(makeMiniVgg(rng)),
                                 modelConfig("vgg", 2, 4)),
               RegisterStatus::Registered);
-    ASSERT_EQ(reg.registerModel(makeMiniAlexNet(rng),
+    ASSERT_EQ(reg.registerModel(withGraph(makeMiniAlexNet(rng)),
                                 modelConfig("alex", 2, 4)),
               RegisterStatus::Registered);
     MultiTenantEngine engine(reg, engineConfig(1));
@@ -824,10 +832,8 @@ TEST(MultiTenant, ArenaGaugesTrackPoolsAndRegistry)
     const TenantMetricsSnapshot m = engine.metrics();
     EXPECT_EQ(m.liveArenaBytes, engine.liveArenaBytes());
     EXPECT_EQ(m.reservedArenaBytes, reg.totalReservedArenaBytes());
-    if (graphEnabled()) {
-        EXPECT_GT(perVgg, 0u);
-        EXPECT_LE(m.liveArenaBytes, m.reservedArenaBytes);
-    }
+    EXPECT_GT(perVgg, 0u);
+    EXPECT_LE(m.liveArenaBytes, m.reservedArenaBytes);
 }
 
 TEST(MultiTenant, ScalerThreadGrowsUnderLoadAndShrinksWhenIdle)

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "nn/conv_layer.hh"
 #include "nn/dropout_layer.hh"
 #include "nn/fc_layer.hh"
+#include "nn/inference_defaults.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
 #include "nn/pool_layer.hh"
@@ -510,6 +513,78 @@ TEST(Network, FlopsPerImagePositive)
     Rng rng(44);
     Network net = makeMiniNet(MiniSize::Medium, rng);
     EXPECT_GT(net.flopsPerImage(), 1e4);
+}
+
+/** Layers and networks start from the environment's defaults, and
+ * replicas copy the network's explicit setting. */
+TEST(Network, SettingsStartFromEnvDefaultsAndSurviveClone)
+{
+    const InferenceDefaults &d = inferenceDefaults();
+    Rng rng(45);
+    Network net = makeMiniInception(rng);
+    EXPECT_EQ(net.graphDispatch(), d.graph);
+    for (const ConvLayer *c : net.convLayers())
+        EXPECT_EQ(c->quantizedEnabled(), d.quantize) << c->name();
+    for (const FcLayer *f : net.fcLayers())
+        EXPECT_EQ(f->quantizedEnabled(), d.quantize) << f->name();
+
+    for (bool on : {true, false}) {
+        net.setGraphDispatch(on);
+        EXPECT_EQ(net.cloneSharingWeights().graphDispatch(), on);
+    }
+}
+
+// ------------------------------------------------- inference defaults
+
+/** Parse the three variables from a fake environment. */
+InferenceDefaults
+parseFrom(const std::map<std::string, std::string> &env)
+{
+    return parseInferenceDefaults([&env](const char *name) {
+        const auto it = env.find(name);
+        return it == env.end() ? nullptr : it->second.c_str();
+    });
+}
+
+TEST(InferenceDefaults, OneParseRuleForEveryVariable)
+{
+    const InferenceDefaults unset = parseFrom({});
+    EXPECT_FALSE(unset.graph);
+    EXPECT_FALSE(unset.quantize);
+    EXPECT_FALSE(unset.convAlgo.has_value());
+
+    for (const char *on : {"1", "true"}) {
+        const InferenceDefaults d = parseFrom(
+            {{"PCNN_GRAPH", on}, {"PCNN_QUANTIZE", on}});
+        EXPECT_TRUE(d.graph) << on;
+        EXPECT_TRUE(d.quantize) << on;
+    }
+    // Off spellings and unknown values (warned about) both leave the
+    // default, off; for the algorithm, "auto" is one more off value.
+    for (const char *off :
+         {"", "0", "false", "on", "yes", "ture", "2", "auto"}) {
+        const InferenceDefaults d =
+            parseFrom({{"PCNN_GRAPH", off},
+                       {"PCNN_QUANTIZE", off},
+                       {"PCNN_CONV_ALGO", off}});
+        EXPECT_FALSE(d.graph) << off;
+        EXPECT_FALSE(d.quantize) << off;
+        EXPECT_FALSE(d.convAlgo.has_value()) << off;
+    }
+
+    const std::pair<const char *, ConvAlgo> algos[] = {
+        {"im2col", ConvAlgo::Im2col},
+        {"direct1x1", ConvAlgo::Direct1x1},
+        {"winograd", ConvAlgo::Winograd}};
+    for (const auto &[name, algo] : algos) {
+        const InferenceDefaults d = parseFrom({{"PCNN_CONV_ALGO", name}});
+        ASSERT_TRUE(d.convAlgo.has_value()) << name;
+        EXPECT_EQ(*d.convAlgo, algo) << name;
+    }
+    for (const char *bad : {"1", "true", "fast"})
+        EXPECT_FALSE(
+            parseFrom({{"PCNN_CONV_ALGO", bad}}).convAlgo.has_value())
+            << bad;
 }
 
 // ---------------------------------------------------------- model zoo

@@ -23,7 +23,6 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "data/synthetic.hh"
-#include "nn/fusion.hh"
 #include "nn/model_zoo.hh"
 #include "nn/network.hh"
 #include "pcnn/offline/compiler.hh"
@@ -48,13 +47,6 @@ class ThreadCountGuard
 
   private:
     std::size_t saved;
-};
-
-/** Restores the process-wide forced-quantization flag. */
-class QuantForceGuard
-{
-  public:
-    ~QuantForceGuard() { clearQuantizeForced(); }
 };
 
 bool
@@ -324,13 +316,12 @@ TEST(Quant, Fp32PathBitwiseUnchangedByToggle)
 
     // Pin both states explicitly so the test also holds under a
     // PCNN_QUANTIZE=1 environment (the CI smoke leg).
-    QuantForceGuard guard;
     Tensor before, during, after;
-    setQuantizeForced(false);
+    net.setQuantized(false);
     net.forwardInto(x, false, before);
-    setQuantizeForced(true);
+    net.setQuantized(true);
     net.forwardInto(x, false, during);
-    setQuantizeForced(false);
+    net.setQuantized(false);
     net.forwardInto(x, false, after);
 
     // Paper-fidelity default: with quantization off the fp32 result
@@ -343,14 +334,13 @@ TEST(Quant, Fp32PathBitwiseUnchangedByToggle)
 TEST(Quant, ForwardBitwiseIdenticalAcrossThreadCounts)
 {
     ThreadCountGuard tguard;
-    QuantForceGuard qguard;
-    setQuantizeForced(true);
 
     for (int zoo = 0; zoo < 3; ++zoo) {
         Rng rng(31);
         Network net = zoo == 0   ? makeMiniAlexNet(rng)
                       : zoo == 1 ? makeMiniVgg(rng)
                                  : makeMiniInception(rng);
+        net.setQuantized(true);
         const Tensor x = makeInput(net, 4, 32);
         setThreadCount(1);
         Tensor base;
@@ -367,11 +357,9 @@ TEST(Quant, ForwardBitwiseIdenticalAcrossThreadCounts)
 
 TEST(Quant, ForwardBitwiseIdenticalAcrossTiers)
 {
-    QuantForceGuard qguard;
-    setQuantizeForced(true);
-
     Rng rng(41);
     Network net = makeMiniVgg(rng);
+    net.setQuantized(true);
     const Tensor x = makeInput(net, 2, 42);
 
     setKernelTier(KernelTier::Portable);
@@ -391,11 +379,9 @@ TEST(Quant, BatchOneMatchesBatchedRows)
     // The FC layer takes a dedicated batch-1 route (qgemm straight
     // into y); it must agree bitwise with the same item inside a
     // batch, because qgemm's per-column math is independent of n.
-    QuantForceGuard qguard;
-    setQuantizeForced(true);
-
     Rng rng(51);
     Network net = makeMiniAlexNet(rng);
+    net.setQuantized(true);
     const Tensor x = makeInput(net, 1, 52);
     Tensor y1;
     net.forwardInto(x, false, y1);
@@ -406,11 +392,9 @@ TEST(Quant, BatchOneMatchesBatchedRows)
 
 TEST(Quant, ReplicasShareQuantizedPanels)
 {
-    QuantForceGuard qguard;
-    setQuantizeForced(true);
-
     Rng rng(61);
     Network net = makeMiniAlexNet(rng);
+    net.setQuantized(true);
     const Tensor x = makeInput(net, 2, 62);
 
     // Warm up the base so every shared panel exists before cloning.
@@ -433,8 +417,6 @@ TEST(QuantAllocProbe, WarmQuantizedForwardIsAllocFree)
         GTEST_SKIP() << "PCNN_COUNT_ALLOCS disabled in this build";
 
     ThreadCountGuard tguard;
-    QuantForceGuard qguard;
-    setQuantizeForced(true);
 
     for (std::size_t threads : {std::size_t(1), std::size_t(2),
                                 std::size_t(4)}) {
@@ -444,6 +426,7 @@ TEST(QuantAllocProbe, WarmQuantizedForwardIsAllocFree)
             Network net = zoo == 0   ? makeMiniAlexNet(rng)
                           : zoo == 1 ? makeMiniVgg(rng)
                                      : makeMiniInception(rng);
+            net.setQuantized(true);
             const Tensor x = makeInput(net, 4, 72);
             Tensor y;
             net.forwardInto(x, false, y);
@@ -475,11 +458,11 @@ TEST(Quant, TrainedTopOneSurvivesQuantization)
     trainer.fit(train_set);
 
     const Tensor inputs = test_set.batch(0, test_set.size());
+    net.setQuantized(false);
     const Tensor fp_logits = net.forward(inputs, false);
     const double fp_acc = accuracy(fp_logits, test_set.labels());
 
-    QuantForceGuard qguard;
-    setQuantizeForced(true);
+    net.setQuantized(true);
     const Tensor q_logits = net.forward(inputs, false);
     const double q_acc = accuracy(q_logits, test_set.labels());
 
@@ -596,7 +579,7 @@ TEST(QuantProfileIo, CalibratedProfileAppliesAndRoundTrips)
     net.forwardInto(x, false, a);
     net.forwardInto(x, false, b);
     EXPECT_TRUE(bitwiseEqual(a, b));
-    net.clearQuantization();
+    net.setQuantized(false);
     for (ConvLayer *c : net.convLayers())
         EXPECT_FALSE(c->quantizedEnabled());
 }
@@ -804,7 +787,7 @@ TEST(QuantExecutor, PlanV3FlagsReachTheLayers)
     EXPECT_TRUE(convs[0]->quantizedEnabled());
     for (std::size_t i = 1; i < convs.size(); ++i)
         EXPECT_FALSE(convs[i]->quantizedEnabled());
-    net.clearQuantization();
+    net.setQuantized(false);
 }
 
 } // namespace

@@ -12,12 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "nn/conv_layer.hh"
-#include "nn/fusion.hh"
+#include "nn/inference_defaults.hh"
 #include "tensor/tensor.hh"
 #include "tensor/winograd.hh"
 #include "tolerance.hh"
@@ -140,7 +141,6 @@ directReference(ConvLayer &layer, const Tensor &x)
  */
 TEST(Winograd, MatchesDirectReferenceAcrossShapes)
 {
-    clearForcedConvAlgo();
     struct Case
     {
         std::size_t h, w, pad;
@@ -174,7 +174,6 @@ TEST(Winograd, MatchesDirectReferenceAcrossShapes)
 /** Grouped winograd transforms each group's channel slice alone. */
 TEST(Winograd, GroupedMatchesDirectReference)
 {
-    clearForcedConvAlgo();
     Rng rng(41);
     ConvLayer layer =
         makeConv(rng, 6, 8, 3, 1, 1, 7, 7, /*groups=*/2);
@@ -194,7 +193,6 @@ TEST(Winograd, GroupedMatchesDirectReference)
  */
 TEST(Winograd, BitwiseIdenticalAcrossThreadCounts)
 {
-    clearForcedConvAlgo();
     Rng rng(55);
     ConvLayer layer = makeConv(rng, 8, 6, 3, 1, 1, 9, 7);
     layer.setAlgo(ConvAlgo::Winograd);
@@ -224,7 +222,6 @@ TEST(Winograd, BitwiseIdenticalAcrossThreadCounts)
  */
 TEST(Winograd, WeightUpdateInvalidatesTransformCache)
 {
-    clearForcedConvAlgo();
     Rng rng(61);
     ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
     layer.setAlgo(ConvAlgo::Winograd);
@@ -266,7 +263,6 @@ TEST(Winograd, EligibilityPredicates)
 /** Training and perforated forwards always take the exact route. */
 TEST(Winograd, TrainingAndPerforationForceExactRoute)
 {
-    clearForcedConvAlgo();
     Rng rng(81);
     ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
     layer.setAlgo(ConvAlgo::Winograd);
@@ -279,25 +275,34 @@ TEST(Winograd, TrainingAndPerforationForceExactRoute)
     EXPECT_EQ(layer.effectiveAlgo(false), ConvAlgo::Winograd);
 }
 
-/** Force beats pin beats cost model; force skips ineligible layers. */
+/**
+ * The PCNN_CONV_ALGO default pins each layer it is eligible for at
+ * construction, leaves the others to the cost model, and an explicit
+ * pin replaces it. Holds at every value of the variable.
+ */
 TEST(Winograd, ForcedAlgoPrecedence)
 {
+    const std::optional<ConvAlgo> env = inferenceDefaults().convAlgo;
     Rng rng(91);
     ConvLayer layer = makeConv(rng, 4, 4, 3, 1, 1, 8, 8);
-    layer.setAlgo(ConvAlgo::Im2col);
-
-    setForcedConvAlgo(ConvAlgo::Winograd);
-    EXPECT_EQ(layer.effectiveAlgo(false), ConvAlgo::Winograd);
-
     ConvLayer big = makeConv(rng, 4, 4, 5, 1, 2, 8, 8);
-    EXPECT_EQ(big.effectiveAlgo(false), ConvAlgo::Im2col)
-        << "force must not apply to an ineligible geometry";
+    for (const ConvLayer *l : {&layer, &big}) {
+        const bool pinned = env && l->spec().algoEligible(*env);
+        EXPECT_EQ(l->effectiveAlgo(false),
+                  pinned ? *env : selectConvAlgo(l->spec()))
+            << l->spec().kernel << "x" << l->spec().kernel;
+    }
 
-    clearForcedConvAlgo();
-    EXPECT_EQ(layer.effectiveAlgo(false), ConvAlgo::Im2col);
+    for (ConvAlgo a : {ConvAlgo::Winograd, ConvAlgo::Im2col}) {
+        layer.setAlgo(a);
+        EXPECT_EQ(layer.effectiveAlgo(false), a);
+    }
 }
 
-/** The forced route still computes the right numbers. */
+/**
+ * The construction-default route computes the right numbers; under
+ * PCNN_CONV_ALGO=winograd (the CI algo leg) that is the winograd one.
+ */
 TEST(Winograd, ForcedWinogradMatchesReference)
 {
     Rng rng(95);
@@ -305,9 +310,7 @@ TEST(Winograd, ForcedWinogradMatchesReference)
     const Tensor x = randomInput(2, 4, 7, 7, 96);
     const Tensor want = directReference(layer, x);
 
-    setForcedConvAlgo(ConvAlgo::Winograd);
     const Tensor got = layer.forward(x, false);
-    clearForcedConvAlgo();
     EXPECT_TRUE(allClose(want, got, kWinoRelBudget, kAbsFloor));
 }
 
